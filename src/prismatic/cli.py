@@ -7,7 +7,8 @@ commands compose with ordinary shell pipes::
 
 Analysis subcommands print machine-readable JSON reports.  Exit status is
 nonzero only for input errors (bad graph6, unknown constructor, missing
-flags); mathematical "no" answers are ordinary results with exit 0.
+flags, input outside a command's precondition); mathematical "no" answers
+are ordinary results with exit 0.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .structural import (
 
 
 class InputError(Exception):
-    """Bad user input (unknown name, malformed graph6, missing flag)."""
+    """Bad user input (unknown name, malformed graph6, missing flag, unmet precondition)."""
 
 
 def _json_default(obj):
@@ -270,32 +271,35 @@ def cmd_classify(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g = load_graph(args)
-    if args.prism:
-        rep = cheeger_closed_form(g)
-        report = {
-            "command": "cheeger",
-            "of": "complementary prism",
-            "base_n": g.n,
-            "value": rep.value,
-            "method": rep.method,
-            "witness_S": rep.witness[0],
-            "witness_T": rep.witness[1],
-        }
-        if args.brute or 2 * g.n <= 16:
-            brute = cheeger_brute_force(complementary_prism(g))
-            report["brute_force_value"] = brute.value
-            if brute.value != rep.value:
-                raise AssertionError("closed form disagrees with brute force")
-    else:
-        rep = cheeger_brute_force(g)
-        report = {
-            "command": "cheeger",
-            "n": g.n,
-            "value": rep.value,
-            "method": rep.method,
-            "witness_S": rep.witness[0],
-            "witness_T": rep.witness[1],
-        }
+    try:
+        if args.prism:
+            rep = cheeger_closed_form(g)
+            report = {
+                "command": "cheeger",
+                "of": "complementary prism",
+                "base_n": g.n,
+                "value": rep.value,
+                "method": rep.method,
+                "witness_S": rep.witness[0],
+                "witness_T": rep.witness[1],
+            }
+            if args.brute or 2 * g.n <= 16:
+                brute = cheeger_brute_force(complementary_prism(g))
+                report["brute_force_value"] = brute.value
+                if brute.value != rep.value:
+                    raise AssertionError("closed form disagrees with brute force")
+        else:
+            rep = cheeger_brute_force(g)
+            report = {
+                "command": "cheeger",
+                "n": g.n,
+                "value": rep.value,
+                "method": rep.method,
+                "witness_S": rep.witness[0],
+                "witness_T": rep.witness[1],
+            }
+    except ValueError as e:  # brute force is limited to CHEEGER_BRUTE_MAX_N vertices
+        raise InputError(str(e)) from e
     emit(report)
     return 0
 
@@ -346,7 +350,10 @@ def cmd_srg(args) -> int:
 
 def cmd_theta(args) -> int:
     g = load_graph(args)
-    upper, complement_lower = theta_bounds(g)
+    try:
+        upper, complement_lower = theta_bounds(g)
+    except ValueError as e:  # the bound needs a regular graph
+        raise InputError(str(e)) from e
     emit({
         "command": "theta",
         "n": g.n,
@@ -371,7 +378,12 @@ def cmd_hamilton(args) -> int:
         elif args.mode == "path_between":
             if args.endpoints is None:
                 raise InputError("path_between needs --endpoints U,V")
-            u, v = (int(x) for x in args.endpoints.split(","))
+            try:
+                u, v = (int(x) for x in args.endpoints.split(","))
+            except ValueError as e:
+                raise InputError(f"bad --endpoints {args.endpoints!r}: expected U,V") from e
+            if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+                raise InputError(f"path_between needs two distinct vertices below {g.n}")
             report["witness"] = hamiltonian(g, "path_between", u, v, budget=budget)
         elif args.mode == "connected":
             got = hamiltonian(g, "connected", budget=budget)
@@ -590,7 +602,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None, help="search node budget")
-    p.add_argument("--threads", type=int, default=1, help="reserved; searches are single-threaded")
     p.add_argument("--json", action="store_true", help="JSON report even for graph-emitting commands")
     p.add_argument("--tolerance", type=float, default=1e-9, help="numeric comparison tolerance")
 

@@ -76,10 +76,6 @@ class FieldSpec:
     def index(self, a: Elem) -> int:
         return sum(c * self.p**i for i, c in enumerate(a))
 
-    def from_int(self, value: int) -> Elem:
-        """Embed an integer as value * 1 (prime-subfield element)."""
-        return (value % self.p,) + (0,) * (self.k - 1)
-
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: Elem, b: Elem) -> Elem:

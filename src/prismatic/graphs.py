@@ -32,7 +32,6 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(adj) != n:
             raise ValueError("adjacency has %d rows for %d vertices" % (len(adj), n))
-        full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row >> n:
                 raise ValueError("row %d references vertices >= %d" % (v, n))
@@ -45,7 +44,6 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.name = name
-        del full
 
     # -- basic queries ------------------------------------------------------
 
@@ -171,16 +169,6 @@ class Graph:
                 common = self.adj[v] & self.adj[u]
                 for w in bits(common >> (u + 1)):
                     yield (v, u, w + u + 1)
-
-    def four_cycles(self) -> Iterator[tuple[int, int, int, int]]:
-        """Vertex sets of (not necessarily induced) 4-cycles a-b-c-d-a, a<b,c,d and b<d."""
-        for a in range(self.n):
-            for c in range(a + 1, self.n):
-                common = self.adj[a] & self.adj[c] & ~((1 << (a + 1)) - 1)
-                mids = [m for m in bits(common) if m != c]
-                for i in range(len(mids)):
-                    for j in range(i + 1, len(mids)):
-                        yield (a, mids[i], c, mids[j])
 
 
 # -- constructors ------------------------------------------------------------

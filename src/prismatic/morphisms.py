@@ -4,8 +4,8 @@ This module provides
 
 * exhaustive isomorphism/antimorphism search (most-constrained-vertex-first
   backtracking over candidate bitmasks with forward checking),
-* homomorphism search (forward checking plus arc consistency, optional
-  partial-map constraints, optional node budget),
+* homomorphism search (forward checking plus incrementally maintained arc
+  consistency, optional partial-map constraints, optional node budget),
 * core computation by retraction descent: repeatedly find a proper
   endomorphism, convert it into a retraction, restrict, repeat,
 * permutation-group utilities (closure, orbits, vertex-transitivity,
@@ -19,7 +19,6 @@ verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import lcm
 
@@ -35,14 +34,20 @@ class CapExceeded(Exception):
 
 
 class SearchBudget:
-    """A mutable counter of search nodes; ``None`` means unlimited."""
+    """A counter of search nodes with an optional limit.
 
-    __slots__ = ("remaining",)
+    ``nodes`` counts every node spent; ``remaining`` is the nodes left
+    before BudgetExhausted, or ``None`` for no limit.
+    """
 
-    def __init__(self, nodes: int | None = None):
-        self.remaining = nodes
+    __slots__ = ("remaining", "nodes")
+
+    def __init__(self, limit: int | None = None):
+        self.remaining = limit
+        self.nodes = 0
 
     def spend(self, amount: int = 1) -> None:
+        self.nodes += amount
         if self.remaining is None:
             return
         self.remaining -= amount
@@ -317,38 +322,43 @@ def find_homomorphism(
                         f"contradictory partial map: edge {{{v},{w}}} sent to non-edge"
                     )
 
-    adj1, adj2 = g1.adj, g2.adj
+    adj2 = g2.adj
+    nbrs = [tuple(bits(row)) for row in g1.adj]
 
-    def ac3(cand: list[int], assigned: int) -> bool:
-        """Arc consistency over g1-edges between unassigned vertices."""
-        queue = deque(
-            (w, w2)
-            for w in range(n1)
-            if not assigned >> w & 1
-            for w2 in g1.neighbors(w)
-            if not assigned >> w2 & 1
-        )
-        while queue:
-            w, w2 = queue.popleft()
+    def propagate(cand: list[int], assigned: int, pending: int) -> bool:
+        """Arc consistency over g1-edges between unassigned vertices.
+
+        ``pending`` holds the vertices whose domains shrank since ``cand``
+        was last arc consistent; only arcs into those are re-examined.  The
+        arc-consistent closure is unique, so the result does not depend on
+        the order in which vertices are popped.
+        """
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            w = low.bit_length() - 1
+            support = 0
             m = cand[w]
-            keep = 0
-            cw2 = cand[w2]
-            for u in bits(m):
-                if adj2[u] & cw2:
-                    keep |= 1 << u
-            if keep != m:
-                if keep == 0:
-                    return False
-                cand[w] = keep
-                for x in g1.neighbors(w):
-                    if not assigned >> x & 1 and x != w2:
-                        queue.append((x, w))
+            while m:
+                b = m & -m
+                support |= adj2[b.bit_length() - 1]
+                m ^= b
+            for x in nbrs[w]:
+                if assigned >> x & 1:
+                    continue
+                cx = cand[x]
+                keep = cx & support
+                if keep != cx:
+                    if not keep:
+                        return False
+                    cand[x] = keep
+                    pending |= 1 << x
         return True
 
     img = [-1] * n1
     full1 = (1 << n1) - 1
 
-    if not ac3(cand, 0):
+    if not propagate(cand, 0, full1):
         return None
 
     def rec(cand: list[int], assigned: int) -> bool:
@@ -364,25 +374,28 @@ def find_homomorphism(
                     if c <= 1:
                         break
         v = best_v
-        av = adj1[v]
+        assigned |= 1 << v
         for u in bits(cand[v]):
             au = adj2[u]
             nxt = list(cand)
             nxt[v] = 1 << u
-            ok = True
-            for w in bits(av):
-                if assigned >> w & 1 or w == v:
+            changed = 0
+            for w in nbrs[v]:
+                if assigned >> w & 1:
                     continue
-                m = nxt[w] & au
-                if m == 0:
-                    ok = False
-                    break
-                nxt[w] = m
-            if ok and ac3(nxt, assigned | 1 << v):
-                img[v] = u
-                if rec(nxt, assigned | 1 << v):
-                    return True
-                img[v] = -1
+                cw = nxt[w]
+                m = cw & au
+                if m != cw:
+                    if not m:
+                        break
+                    nxt[w] = m
+                    changed |= 1 << w
+            else:  # forward checking left every neighbour a candidate
+                if propagate(nxt, assigned, changed):
+                    img[v] = u
+                    if rec(nxt, assigned):
+                        return True
+                    img[v] = -1
         return False
 
     if not rec(cand, 0):
@@ -460,41 +473,6 @@ def _stabilized_retraction(g: Graph, endo: list[int]) -> tuple[list[int], list[i
     return image, rho
 
 
-def _max_clique_size(g: Graph) -> int:
-    """Exact clique number by branch and bound (greedy-colouring bound)."""
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adj
-    best = 1
-
-    def greedy_bound(mask: int) -> int:
-        colors: list[int] = []
-        for v in bits(mask):
-            for i, cmask in enumerate(colors):
-                if not adj[v] & cmask:
-                    colors[i] = cmask | 1 << v
-                    break
-            else:
-                colors.append(1 << v)
-        return len(colors)
-
-    def expand(mask: int, size: int) -> None:
-        nonlocal best
-        if mask == 0:
-            if size > best:
-                best = size
-            return
-        if size + greedy_bound(mask) <= best:
-            return
-        v = mask.bit_length() - 1
-        expand(mask & adj[v], size + 1)
-        expand(mask & ~(1 << v), size)
-
-    expand((1 << n) - 1, 0)
-    return best
-
-
 def compute_core(
     g: Graph,
     budget: SearchBudget | int | None = None,
@@ -531,17 +509,19 @@ def compute_core(
             raise ValueError("seed map is not an endomorphism")
         fold_full([seed[psi[x]] for x in range(n)])
 
+    from .structural import max_clique  # structural imports this module
+
     status = "ok"
     while True:
         sub = g.induced(current)
         m = sub.n
-        omega = _max_clique_size(sub) if m <= 60 else None
+        omega = len(max_clique(sub)) if m <= 60 else None
         progressed = False
         try:
             for pos in range(m):
                 keep = [i for i in range(m) if i != pos]
                 target = sub.induced(keep)
-                if omega is not None and _max_clique_size(target) < omega:
+                if omega is not None and len(max_clique(target)) < omega:
                     continue  # a homomorphism cannot shrink the clique number
                 found = find_homomorphism(sub, target, budget=budget)
                 if found is None:

@@ -86,7 +86,6 @@ def _k_colorable(g: Graph, k: int) -> list[int] | None:
     """Exact backtracking k-coloring (colors 1..k), or None."""
     n = g.n
     order = sorted(range(n), key=lambda v: -g.degree(v))
-    pos_of = {v: i for i, v in enumerate(order)}
     colors = [0] * n
 
     def rec(i: int, used: int) -> bool:
@@ -104,7 +103,6 @@ def _k_colorable(g: Graph, k: int) -> list[int] | None:
             colors[v] = 0
         return False
 
-    del pos_of
     return colors if rec(0, 0) else None
 
 

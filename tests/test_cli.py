@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import prismatic
+from prismatic import cli
 from prismatic.cli import main
 from prismatic.families import paley_graph
 from prismatic.graphio import parse_graph6, write_graph6
@@ -265,6 +266,34 @@ def test_bad_name_exits_2(capsys):
 def test_bad_graph6_exits_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["aut"], stdin_text="!!", monkeypatch=monkeypatch)
     assert code == 2
+
+
+def assert_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cheeger_brute_force_too_large_exits_2(capsys, monkeypatch):
+    assert_input_error(capsys, ["cheeger", "--name", "paley:29"])
+    assert_input_error(capsys, ["cheeger", "--name", "paley:13", "--prism", "--brute"])
+    # an oracle disagreeing is a bug, not an input error: it still escapes
+    brute = cli.cheeger_brute_force
+    monkeypatch.setattr(cli, "cheeger_brute_force", lambda g: brute(cycle_graph(6)))  # h = 2/3
+    with pytest.raises(AssertionError):
+        main(["cheeger", "--name", "cycle:5", "--prism"])
+
+
+def test_theta_of_non_regular_graph_exits_2(capsys):
+    assert_input_error(capsys, ["theta", "--name", "path:4"])
+
+
+def test_hamilton_path_between_bad_endpoints_exit_2(capsys):
+    for endpoints in ("0,0", "0,9", "-1,2", "0"):
+        assert_input_error(
+            capsys,
+            ["hamilton", "--name", "cycle:5", "--mode", "path_between", f"--endpoints={endpoints}"],
+        )
 
 
 def test_budget_env_variable(capsys, monkeypatch):

@@ -1,7 +1,11 @@
+import random
+from collections import deque
+
 import pytest
 
 from prismatic.families import paley_graph, petersen_graph
 from prismatic.graphs import (
+    bits,
     build_graph,
     complementary_prism,
     complete_graph,
@@ -15,6 +19,7 @@ from prismatic.morphisms import (
     BudgetExhausted,
     CapExceeded,
     Permutation,
+    SearchBudget,
     VertexMap,
     antimorphism_facts,
     automorphism_group,
@@ -190,6 +195,161 @@ def test_no_homomorphism_to_shorter_odd_cycle():
     assert find_homomorphism(cycle_graph(5), cycle_graph(7)) is None
     h = find_homomorphism(cycle_graph(7), cycle_graph(5))
     assert h is not None
+
+
+def reference_find_homomorphism(g1, g2, constraints=None, budget=None):
+    """The full-requeue kernel that ``find_homomorphism`` replaced.
+
+    At every node its ``ac3`` queues every arc between unassigned vertices
+    and revises one candidate at a time.  Kept here as the slow reference:
+    the incremental kernel must visit the same nodes and return the same map.
+    """
+    budget = budget if isinstance(budget, SearchBudget) else SearchBudget(budget)
+    n1, n2 = g1.n, g2.n
+    if n1 == 0:
+        return VertexMap(0, n2, ())
+    if n2 == 0:
+        return None
+    full2 = (1 << n2) - 1
+    cand = [full2] * n1
+    if constraints:
+        for v, u in constraints.items():
+            if not (0 <= v < n1 and 0 <= u < n2):
+                raise ValueError("constraint out of range")
+            cand[v] = 1 << u
+        fixed = sorted(constraints.items())
+        for i, (v, u) in enumerate(fixed):
+            for w, x in fixed[i + 1:]:
+                if g1.has_edge(v, w) and not g2.has_edge(u, x):
+                    raise ValueError("contradictory partial map")
+
+    adj1, adj2 = g1.adj, g2.adj
+
+    def ac3(cand, assigned):
+        queue = deque(
+            (w, w2)
+            for w in range(n1)
+            if not assigned >> w & 1
+            for w2 in g1.neighbors(w)
+            if not assigned >> w2 & 1
+        )
+        while queue:
+            w, w2 = queue.popleft()
+            m = cand[w]
+            keep = 0
+            cw2 = cand[w2]
+            for u in bits(m):
+                if adj2[u] & cw2:
+                    keep |= 1 << u
+            if keep != m:
+                if keep == 0:
+                    return False
+                cand[w] = keep
+                for x in g1.neighbors(w):
+                    if not assigned >> x & 1 and x != w2:
+                        queue.append((x, w))
+        return True
+
+    img = [-1] * n1
+    full1 = (1 << n1) - 1
+
+    if not ac3(cand, 0):
+        return None
+
+    def rec(cand, assigned):
+        budget.spend()
+        if assigned == full1:
+            return True
+        best_v, best_c = -1, n2 + 2
+        for v in range(n1):
+            if not assigned >> v & 1:
+                c = cand[v].bit_count()
+                if c < best_c:
+                    best_v, best_c = v, c
+                    if c <= 1:
+                        break
+        v = best_v
+        av = adj1[v]
+        for u in bits(cand[v]):
+            au = adj2[u]
+            nxt = list(cand)
+            nxt[v] = 1 << u
+            ok = True
+            for w in bits(av):
+                if assigned >> w & 1 or w == v:
+                    continue
+                m = nxt[w] & au
+                if m == 0:
+                    ok = False
+                    break
+                nxt[w] = m
+            if ok and ac3(nxt, assigned | 1 << v):
+                img[v] = u
+                if rec(nxt, assigned | 1 << v):
+                    return True
+                img[v] = -1
+        return False
+
+    if not rec(cand, 0):
+        return None
+    return VertexMap(n1, n2, tuple(img))
+
+
+def random_graph(rng, n):
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def random_constraints(rng, g1, g2):
+    """A random partial map that sends no edge of g1 to a non-edge of g2."""
+    fixed = {}
+    for v in rng.sample(range(g1.n), rng.randint(0, min(3, g1.n))):
+        u = rng.randrange(g2.n)
+        if all(not g1.has_edge(v, w) or g2.has_edge(u, x) for w, x in fixed.items()):
+            fixed[v] = u
+    return fixed
+
+
+def assert_same_search(g1, g2, constraints=None):
+    new, old = SearchBudget(), SearchBudget()
+    got = find_homomorphism(g1, g2, constraints, budget=new)
+    want = reference_find_homomorphism(g1, g2, constraints, budget=old)
+    assert (got and got.image) == (want and want.image)
+    assert new.nodes == old.nodes
+    # both stop at the same node when the budget is one node short
+    for kernel in (find_homomorphism, reference_find_homomorphism):
+        if old.nodes:
+            with pytest.raises(BudgetExhausted):
+                kernel(g1, g2, constraints, budget=old.nodes - 1)
+        res = kernel(g1, g2, constraints, budget=old.nodes)
+        assert (res and res.image) == (want and want.image)
+
+
+def test_homomorphism_search_matches_reference_on_random_pairs():
+    rng = random.Random(20211)
+    for _ in range(150):
+        g1 = random_graph(rng, rng.randint(1, 10))
+        g2 = random_graph(rng, rng.randint(1, 8))
+        assert_same_search(g1, g2)
+        assert_same_search(g1, g2, random_constraints(rng, g1, g2))
+
+
+def test_homomorphism_search_matches_reference_on_prisms_minus_a_vertex():
+    rng = random.Random(505)
+    for _ in range(40):
+        prism = complementary_prism(random_graph(rng, rng.randint(2, 5)))
+        drop = rng.randrange(prism.n)
+        target = prism.induced([v for v in range(prism.n) if v != drop])
+        assert_same_search(prism, target)
+        assert_same_search(prism, target, random_constraints(rng, prism, target))
+
+
+def test_search_budget_counts_nodes_without_a_limit():
+    budget = SearchBudget()
+    report = compute_core(complementary_prism(paley_graph(9)), budget=budget)
+    assert report.is_core_itself
+    # 18 exhaustive descent searches, each failing
+    assert budget.nodes == 23220 and budget.remaining is None
 
 
 # -- retractions and cores ----------------------------------------------------
