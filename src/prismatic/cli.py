@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -61,6 +62,18 @@ from .structural import (
 
 class InputError(Exception):
     """Bad user input (unknown name, malformed graph6, missing flag, unmet precondition)."""
+
+
+@contextmanager
+def precondition():
+    """Report a library precondition (a ValueError) as an input error, exit 2.
+
+    An oracle's AssertionError is not caught: a disagreement is a bug.
+    """
+    try:
+        yield
+    except ValueError as e:
+        raise InputError(str(e)) from e
 
 
 def _json_default(obj):
@@ -150,7 +163,8 @@ def cmd_construct(args) -> int:
 
 def cmd_prism(args) -> int:
     g = load_graph(args)
-    pg = complementary_prism(g)
+    with precondition():  # the null graph has no prism
+        pg = complementary_prism(g)
     if args.json:
         emit({"command": "prism", "n": pg.n, "edges": pg.edge_count(), "graph6": write_graph6(pg)})
     else:
@@ -213,7 +227,8 @@ def cmd_core(args) -> int:
     base = None
     if args.prism:
         base = g
-        g = complementary_prism(base)
+        with precondition():  # the null graph has no prism
+            g = complementary_prism(base)
     try:
         rep = compute_core(g, budget=budget_from(args))
     except BudgetExhausted:
@@ -239,7 +254,8 @@ def cmd_core(args) -> int:
 def cmd_classify(args) -> int:
     g = load_graph(args)
     matches = detect_family(g)
-    group = structured_prism_aut(g)
+    with precondition():  # the null graph has no prism
+        group = structured_prism_aut(g)
     rc = ratio_class(g)
     preds = prism_predicates(g)
     report = {
@@ -271,7 +287,7 @@ def cmd_classify(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g = load_graph(args)
-    try:
+    with precondition():  # brute force is limited to CHEEGER_BRUTE_MAX_N vertices
         if args.prism:
             rep = cheeger_closed_form(g)
             report = {
@@ -298,8 +314,6 @@ def cmd_cheeger(args) -> int:
                 "witness_S": rep.witness[0],
                 "witness_T": rep.witness[1],
             }
-    except ValueError as e:  # brute force is limited to CHEEGER_BRUTE_MAX_N vertices
-        raise InputError(str(e)) from e
     emit(report)
     return 0
 
@@ -310,7 +324,8 @@ def cmd_spectrum(args) -> int:
     numeric = numeric_spectrum(g)
     report["numeric"] = [[round(v, 12), m] for v, m in numeric.multiplicity_pairs()]
     if args.prism_closed_form:
-        closed = prism_spectrum_closed_form(g)
+        with precondition():  # the closed form needs a connected regular graph
+            closed = prism_spectrum_closed_form(g)
         report["prism_closed_form"] = [[round(v, 12), m] for v, m in closed.multiplicity_pairs()]
         prism_numeric = numeric_spectrum(complementary_prism(g))
         diff = max(
@@ -350,10 +365,8 @@ def cmd_srg(args) -> int:
 
 def cmd_theta(args) -> int:
     g = load_graph(args)
-    try:
+    with precondition():  # the bound needs a regular graph
         upper, complement_lower = theta_bounds(g)
-    except ValueError as e:  # the bound needs a regular graph
-        raise InputError(str(e)) from e
     emit({
         "command": "theta",
         "n": g.n,
@@ -369,7 +382,8 @@ def cmd_hamilton(args) -> int:
     budget = budget_from(args)
     try:
         if args.constructions:
-            rep = prism_ham_constructions(g, budget=budget)
+            with precondition():  # the null graph has no prism
+                rep = prism_ham_constructions(g, budget=budget)
             report["prism_p8_path"] = rep.p8_path
             report["prism_ham_connected_pairs"] = (
                 len(rep.ham_connected) if rep.ham_connected else 0

@@ -566,7 +566,6 @@ class GroupDescription:
     order: int
     orbits: tuple[tuple[int, ...], ...]
     structure_label: str = "Unlabeled"
-    closed: bool = True
 
     @property
     def degree(self) -> int:
@@ -631,34 +630,20 @@ def close_under_composition(perms, cap: int = 10**6) -> list[Permutation]:
     return sorted(known.values(), key=lambda p: p.image)
 
 
-def group_tools(
-    elements,
-    label: str = "Unlabeled",
-    close: bool = False,
-    cap: int = 10**6,
-) -> GroupDescription:
-    """Package permutations as a GroupDescription (optionally closing first).
+def group_tools(elements, label: str = "Unlabeled") -> GroupDescription:
+    """Package the elements of a group as a GroupDescription.
 
-    With ``close=False`` the caller asserts the list is already a group;
-    duplicates are removed either way.
+    The caller asserts the list is already a group; duplicates are removed.
     """
-    elems = list(elements)
-    if close:
-        elems = close_under_composition(elems, cap=cap)
-    else:
-        uniq = {}
-        for p in elems:
-            uniq[p.image] = p
-        elems = sorted(uniq.values(), key=lambda p: p.image)
+    uniq = {p.image: p for p in elements}
+    elems = sorted(uniq.values(), key=lambda p: p.image)
     if not elems:
         raise ValueError("empty element list")
-    n = elems[0].n
     return GroupDescription(
         elements=tuple(elems),
         order=len(elems),
-        orbits=orbits_of(elems, n),
+        orbits=orbits_of(elems, elems[0].n),
         structure_label=label,
-        closed=True,
     )
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .families import FamilySpec, family_graph, kneser_graph
+from .families import kneser_graph
 from .graphs import Graph, bits, build_graph, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
@@ -41,8 +41,6 @@ from .morphisms import (
     CoreReport,
     verify_retraction,
 )
-
-_FALLBACK_DETECTION_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,8 @@ class FamilyMatch:
 
 def _verify_family_match(g: Graph, match: FamilyMatch) -> bool:
     y, v, u, z = match.outer
-    inner = set(match.inner_vertices)
-    if len(inner) + 4 != g.n or {y, v, u, z} & inner:
+    outer, inner = {y, v, u, z}, set(match.inner_vertices)
+    if len(outer) != 4 or len(inner) + 4 != g.n or outer & inner:
         return False
     if match.kind == "C5":
         want = {
@@ -89,29 +87,20 @@ def _verify_family_match(g: Graph, match: FamilyMatch) -> bool:
     return True
 
 
-def _detect_path4(g: Graph) -> list[FamilyMatch]:
-    isos = find_isomorphisms(family_graph(FamilySpec("C5", Graph(0, ()))), g, limit=1)
-    if not isos:
-        return []
-    outer = tuple(isos[0].image[i] for i in range(4))
-    empty = Graph(0, ())
-    return [
-        FamilyMatch("C5", empty, (), outer),
-        FamilyMatch("A", empty, (), outer),
-    ]
-
-
 def _detect_pentagon(g: Graph) -> FamilyMatch | None:
-    template = family_graph(FamilySpec("C5", Graph(1, (0,))))
-    isos = find_isomorphisms(template, g, limit=1)
-    if not isos:
+    """The pendant-pair kind over K1 is the pentagon: read (y, v, u, z) off
+    the cycle through vertex 0 (the only 2-regular graph on five vertices)."""
+    if any(d != 2 for d in g.degrees()):
         return None
-    img = isos[0].image
-    return FamilyMatch("C5", Graph(1, (0,)), (img[0],), tuple(img[1:5]))
+    y, z = g.neighbors(0)
+    v = next(w for w in g.neighbors(y) if w != 0)
+    u = next(w for w in g.neighbors(z) if w != 0)
+    match = FamilyMatch("C5", Graph(1, (0,)), (0,), (y, v, u, z))
+    return match if _verify_family_match(g, match) else None
 
 
 def _detect_structural(g: Graph, kind: str) -> FamilyMatch | None:
-    """Degree-based detection for |inner| >= 2 (C5 kind) or >= 1 (A kind)."""
+    """Degree-based detection for |inner| != 1 (C5 kind) or any |inner| (A kind)."""
     n = g.n
     deg = g.degrees()
     if kind == "C5":
@@ -157,56 +146,32 @@ def _detect_structural(g: Graph, kind: str) -> FamilyMatch | None:
     return match if _verify_family_match(g, match) else None
 
 
-def _detect_by_isomorphism(g: Graph) -> list[FamilyMatch]:
-    """Fallback: try every candidate outer quadruple via isomorphism search."""
-    n = g.n
-    out: list[FamilyMatch] = []
-    for kind in ("C5", "A"):
-        for inner_set in combinations(range(n), n - 4):
-            inner_graph = g.induced(inner_set)
-            template = family_graph(FamilySpec(kind, inner_graph))
-            isos = find_isomorphisms(template, g, limit=1)
-            if isos:
-                img = isos[0].image
-                L = n - 4
-                out.append(
-                    FamilyMatch(
-                        kind,
-                        inner_graph,
-                        tuple(img[i] for i in range(L)),
-                        tuple(img[L + i] for i in range(4)),
-                    )
-                )
-                break
-    return [m for m in out if _verify_family_match(g, m)]
-
-
 def detect_family(g: Graph) -> list[FamilyMatch]:
     """Detect whether g belongs to either family; [] means neither.
 
     A four-vertex path matches both families (with empty inner graph), and
-    both matches are returned.  Detection runs the O(n^2) neighborhood
-    criteria first and falls back to isomorphism search on small graphs.
+    both matches are returned.  Detection is exact in O(n^2) because the
+    inner vertex set L is fixed by degrees alone, whatever the labelling:
+
+    * pendant-pair ("C5") kind, |L| >= 2: v and u have degree 2, y and z
+      degree |L| + 1 >= 3, each inner vertex degree deg_L + 2, and an inner
+      neighbour of an inner vertex degree >= 3; so "no neighbour of degree
+      2" selects exactly L.  |L| = 1 is the pentagon, handled on its own;
+      |L| = 0 is P4, where the same rule selects the empty set;
+    * apex-pair ("A") kind, |L| >= 0: y and z have degree 1, and v, u are
+      adjacent to them; so "degree >= 2 and every neighbour of degree >= 2"
+      selects exactly L.
+
+    Degrees then fix the roles on the remaining four vertices up to
+    reversing the path y-v-u-z, under which both kinds are symmetric, and
+    each candidate quadruple is checked against the definition; so there
+    are no false positives and no misses.
     """
     if g.n < 4:
         return []
-    if g.n == 4:
-        return _detect_path4(g)
-    matches: list[FamilyMatch] = []
-    if g.n == 5:
-        pent = _detect_pentagon(g)
-        if pent:
-            matches.append(pent)
-    else:
-        c5 = _detect_structural(g, "C5")
-        if c5:
-            matches.append(c5)
+    c5 = _detect_pentagon(g) if g.n == 5 else _detect_structural(g, "C5")
     a = _detect_structural(g, "A")
-    if a:
-        matches.append(a)
-    if not matches and g.n <= _FALLBACK_DETECTION_MAX_N:
-        matches = _detect_by_isomorphism(g)
-    return matches
+    return [m for m in (c5, a) if m]
 
 
 def reconstruct_from_match(match: FamilyMatch) -> Graph:

@@ -288,6 +288,19 @@ def test_theta_of_non_regular_graph_exits_2(capsys):
     assert_input_error(capsys, ["theta", "--name", "path:4"])
 
 
+def test_spectrum_closed_form_of_non_regular_graph_exits_2(capsys):
+    assert_input_error(capsys, ["spectrum", "--prism-closed-form", "--name", "path:4"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prism"], ["classify"], ["core", "--prism"], ["hamilton", "--constructions"]],
+    ids=["prism", "classify", "core-prism", "hamilton-constructions"],
+)
+def test_prism_of_null_graph_exits_2(capsys, argv):
+    assert_input_error(capsys, argv + ["--g6", "?"])
+
+
 def test_hamilton_path_between_bad_endpoints_exit_2(capsys):
     for endpoints in ("0,0", "0,9", "-1,2", "0"):
         assert_input_error(

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prismatic.families import FamilySpec, family_graph, figure_f9, paley_graph, petersen_graph
 from prismatic.graphs import (
@@ -112,20 +113,50 @@ def test_detect_family_negatives(g):
 
 
 def test_detection_is_exact_on_all_small_graphs():
-    # against the definition: a graph is in a family iff it equals a family
-    # member up to isomorphism
-    for n in range(4, 6):
+    # against the definition: a graph is in a family iff it is isomorphic to
+    # a family member; the search only runs when the sorted degree sequences,
+    # an isomorphism invariant, agree
+    for n in range(4, 7):
+        members = []
+        for kind in ("C5", "A"):
+            for inner in all_graphs(n - 4):
+                member = family_graph(FamilySpec(kind, inner))
+                members.append((kind, member, sorted(member.degrees())))
         for g in all_graphs(n):
+            degrees = sorted(g.degrees())
+            expected = {
+                kind
+                for kind, member, member_degrees in members
+                if member_degrees == degrees and find_isomorphisms(member, g, limit=1)
+            }
             matches = detect_family(g)
-            expected = set()
-            for kind in ("C5", "A"):
-                for inner in all_graphs(n - 4):
-                    if find_isomorphisms(
-                        family_graph(FamilySpec(kind, inner)), g, limit=1
-                    ):
-                        expected.add(kind)
-                        break
             assert {m.kind for m in matches} == expected, g.edges()
+            for m in matches:
+                assert reconstruct_from_match(m).adj == g.adj
+
+
+@st.composite
+def relabelled_family_members(draw):
+    kind = draw(st.sampled_from(["C5", "A"]))
+    k = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(k), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    inner = build_graph(k, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    g = family_graph(FamilySpec(kind, inner))
+    perm = draw(st.permutations(range(g.n)))
+    return kind, inner, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(relabelled_family_members())
+def test_detection_finds_relabelled_family_members(case):
+    kind, inner, g = case
+    matches = detect_family(g)
+    assert kind in {m.kind for m in matches}
+    for m in matches:
+        assert reconstruct_from_match(m).adj == g.adj
+        if m.kind == kind:
+            assert find_isomorphisms(inner, m.inner, limit=1)
 
 
 # -- the special prism automorphism -------------------------------------------
