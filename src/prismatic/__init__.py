@@ -52,7 +52,6 @@ from .morphisms import (
     VertexMap,
     antimorphism_facts,
     automorphism_group,
-    close_under_composition,
     compute_core,
     find_antimorphisms,
     find_homomorphism,
@@ -64,6 +63,7 @@ from .morphisms import (
     is_isomorphism_map,
     is_self_complementary,
     is_vertex_transitive,
+    same_group,
     verify_retraction,
     wreath_map,
 )

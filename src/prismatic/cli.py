@@ -34,6 +34,7 @@ from .morphisms import (
     find_isomorphisms,
     has_regular_subgroup,
     is_self_complementary,
+    same_group,
     verify_retraction,
 )
 from .prisms import (
@@ -118,7 +119,12 @@ def budget_from(args) -> int | None:
     if getattr(args, "budget_nodes", None) is not None:
         return args.budget_nodes
     env = os.environ.get("PRISMATIC_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError as e:
+        raise InputError(f"PRISMATIC_BUDGET must be an integer, got {env!r}") from e
 
 
 def detect_prism_layout(g: Graph) -> Graph | None:
@@ -179,13 +185,14 @@ def cmd_aut(args) -> int:
         "command": "aut",
         "n": g.n,
         "order": group.order,
+        "generators": len(group.generators),
         "orbits": [sorted(o) for o in group.orbits],
         "transitive": group.is_transitive(),
     }
     base = detect_prism_layout(g)
     if base is not None:
         structured = structured_prism_aut(base)
-        if structured.order != group.order:
+        if not same_group(structured, group):
             raise AssertionError("structured prism group disagrees with brute force")
         base_group = automorphism_group(base)
         rc = ratio_class(base)
@@ -204,6 +211,8 @@ def cmd_aut(args) -> int:
 
 def cmd_antimorph(args) -> int:
     g = load_graph(args)
+    if args.limit is not None and args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     antis = find_antimorphisms(g, limit=args.limit)
     report = {
         "command": "antimorph",
@@ -576,15 +585,17 @@ def cmd_sweep(args) -> int:
             brute = automorphism_group(prism)
             if structured.order != brute.order:
                 raise AssertionError(f"aut order mismatch on {g.adj}")
-            if {p.image for p in structured.elements} != {p.image for p in brute.elements}:
+            if not same_group(structured, brute):
                 raise AssertionError(f"aut group mismatch on {g.adj}")
             rc = ratio_class(g)
             base_order = automorphism_group(g).order
             if rc.value not in (1, 2, 4, 12) or base_order * rc.value != brute.order:
                 raise AssertionError(f"ratio classification failed on {g.adj}")
             if not detect_family(g):
+                # side-preserving and side-swapping maps form a subgroup,
+                # so checking the generators checks every element
                 half = g.n
-                for p in brute.elements:
+                for p in brute.generators:
                     diagonal = all(p.image[v] < half for v in range(half))
                     swap = all(p.image[v] >= half for v in range(half))
                     if not (diagonal or swap):

@@ -8,9 +8,10 @@ This module provides
   consistency, optional partial-map constraints, optional node budget),
 * core computation by retraction descent: repeatedly find a proper
   endomorphism, convert it into a retraction, restrict, repeat,
-* permutation-group utilities (closure, orbits, vertex-transitivity,
-  exhaustive regular-subgroup search) and wreath-type maps on
-  lexicographic products.
+* permutation groups as generators plus a Schreier-Sims stabilizer chain
+  (order, orbits, membership), automorphism groups by orbit-pruned
+  generator search, vertex-transitivity, exhaustive regular-subgroup
+  search, and wreath-type maps on lexicographic products.
 
 Every map produced by a search can be re-checked by the independent
 verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
@@ -19,7 +20,7 @@ verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .graphs import Graph, bits
@@ -27,10 +28,6 @@ from .graphs import Graph, bits
 
 class BudgetExhausted(Exception):
     """Raised when a search runs out of its node budget."""
-
-
-class CapExceeded(Exception):
-    """Raised when a group closure grows past its configured cap."""
 
 
 class SearchBudget:
@@ -186,6 +183,87 @@ def is_antimorphism_map(g: Graph, image) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _initial_candidates(g1: Graph, g2: Graph) -> list[int] | None:
+    """Per-vertex candidate bitmasks by degree and neighbour-degree profile,
+    or None when the graphs are certainly not isomorphic."""
+    n = g1.n
+    if n != g2.n or g1.edge_count() != g2.edge_count():
+        return None
+    deg1, deg2 = g1.degrees(), g2.degrees()
+    if sorted(deg1) != sorted(deg2):
+        return None
+    prof1 = [tuple(sorted(deg1[u] for u in g1.neighbors(v))) for v in range(n)]
+    prof2 = [tuple(sorted(deg2[u] for u in g2.neighbors(v))) for v in range(n)]
+    init = []
+    for v in range(n):
+        m = 0
+        for u in range(n):
+            if deg1[v] == deg2[u] and prof1[v] == prof2[u]:
+                m |= 1 << u
+        if m == 0:
+            return None
+        init.append(m)
+    return init
+
+
+def _assign(adj1, adj2, cand: list[int], assigned: int, v: int, u: int) -> list[int] | None:
+    """Candidates after sending v to u (edge iff edge, injectivity), or None
+    when some unassigned vertex is left without a candidate."""
+    av, au = adj1[v], adj2[u]
+    nxt = list(cand)
+    for w in range(len(cand)):
+        if w == v or assigned >> w & 1:
+            continue
+        m = nxt[w] & (au if av >> w & 1 else ~au) & ~(1 << u)
+        if m == 0:
+            return None
+        nxt[w] = m
+    return nxt
+
+
+def _branch_vertex(cand: list[int], assigned: int) -> tuple[int, int]:
+    """The unassigned vertex with the fewest candidates (ties broken by
+    index) and its candidate count."""
+    best_v, best_c = -1, len(cand) + 2
+    for v in range(len(cand)):
+        if not assigned >> v & 1:
+            c = cand[v].bit_count()
+            if c < best_c:
+                best_v, best_c = v, c
+                if c <= 1:
+                    break
+    return best_v, best_c
+
+
+def _extensions(adj1, adj2, cand, assigned, img, limit) -> list[Permutation]:
+    """All (or the first ``limit``) isomorphisms extending the partial map
+    ``img`` on the ``assigned`` vertices, whose forward-checked candidates
+    are ``cand``, branching at ``_branch_vertex``."""
+    n = len(cand)
+    full = (1 << n) - 1
+    img = list(img)
+    results: list[Permutation] = []
+
+    def rec(cand: list[int], assigned: int) -> bool:
+        if assigned == full:
+            results.append(Permutation(tuple(img)))
+            return limit is not None and len(results) >= limit
+        v, count = _branch_vertex(cand, assigned)
+        if count == 0:
+            return False
+        for u in bits(cand[v]):
+            nxt = _assign(adj1, adj2, cand, assigned, v, u)
+            if nxt is not None:
+                img[v] = u
+                if rec(nxt, assigned | 1 << v):
+                    return True
+                img[v] = -1
+        return False
+
+    rec(cand, assigned)
+    return results
+
+
 def find_isomorphisms(g1: Graph, g2: Graph, limit: int | None = None) -> list[Permutation]:
     """All (or the first ``limit``) isomorphisms g1 -> g2.
 
@@ -196,69 +274,12 @@ def find_isomorphisms(g1: Graph, g2: Graph, limit: int | None = None) -> list[Pe
     """
     if limit is not None and limit <= 0:
         return []
-    n = g1.n
-    if n != g2.n or g1.edge_count() != g2.edge_count():
+    init = _initial_candidates(g1, g2)
+    if init is None:
         return []
-    if n == 0:
+    if g1.n == 0:
         return [Permutation(())]
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    if sorted(deg1) != sorted(deg2):
-        return []
-    prof1 = [tuple(sorted(deg1[u] for u in g1.neighbors(v))) for v in range(n)]
-    prof2 = [tuple(sorted(deg2[u] for u in g2.neighbors(v))) for v in range(n)]
-    init = []
-    for v in range(n):
-        m = 0
-        for u in range(n):
-            if deg1[v] == deg2[u] and prof1[v] == prof2[u]:
-                m |= 1 << u
-        if m == 0:
-            return []
-        init.append(m)
-
-    adj1, adj2 = g1.adj, g2.adj
-    full = (1 << n) - 1
-    results: list[Permutation] = []
-    img = [-1] * n
-
-    def rec(cand: list[int], assigned: int) -> bool:
-        if assigned == full:
-            results.append(Permutation(tuple(img)))
-            return limit is not None and len(results) >= limit
-        best_v, best_c = -1, n + 2
-        for v in range(n):
-            if not assigned >> v & 1:
-                c = cand[v].bit_count()
-                if c < best_c:
-                    best_v, best_c = v, c
-                    if c <= 1:
-                        break
-        if best_c == 0:
-            return False
-        v = best_v
-        av = adj1[v]
-        for u in bits(cand[v]):
-            au = adj2[u]
-            nxt = list(cand)
-            ok = True
-            for w in range(n):
-                if w == v or assigned >> w & 1:
-                    continue
-                m = nxt[w] & (au if av >> w & 1 else ~au)
-                m &= ~(1 << u)
-                if m == 0:
-                    ok = False
-                    break
-                nxt[w] = m
-            if ok:
-                img[v] = u
-                if rec(nxt, assigned | 1 << v):
-                    return True
-                img[v] = -1
-        return False
-
-    rec(init, 0)
-    return results
+    return _extensions(g1.adj, g2.adj, init, 0, [-1] * g1.n, limit)
 
 
 def find_antimorphisms(g: Graph, limit: int | None = None) -> list[Permutation]:
@@ -553,103 +574,261 @@ def compute_core(
 # ---------------------------------------------------------------------------
 
 
+# Largest group whose elements ``GroupDescription.elements`` will list.
+ELEMENT_LIST_MAX = 100_000
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a after b, on image tuples."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class GroupDescription:
-    """An explicitly listed permutation group acting on {0..n-1}.
+    """A permutation group on {0..n-1}, given by generators and a stabilizer
+    chain.
 
-    ``structure_label`` is one of PlainAut, AutUnionAntimorphisms,
-    SemidirectZ2, S5, Unlabeled -- a human-readable tag for how the group
-    was assembled, not a certified abstract-group identification.
+    ``base`` is a base (b_0, ..., b_{k-1}) and ``transversals[i]`` maps each
+    point of the orbit of b_i under the pointwise stabilizer of b_0..b_{i-1}
+    to a pair (element sending b_i there, its inverse), so ``order`` is the
+    product of the transversal sizes.  ``structure_label`` is one of
+    PlainAut, AutUnionAntimorphisms, SemidirectZ2, S5, Unlabeled -- a
+    human-readable tag for how the group was assembled, not a certified
+    abstract-group identification.
     """
 
-    elements: tuple[Permutation, ...]
+    generators: tuple[Permutation, ...]
     order: int
     orbits: tuple[tuple[int, ...], ...]
-    structure_label: str = "Unlabeled"
-
-    @property
-    def degree(self) -> int:
-        return self.elements[0].n if self.elements else 0
+    structure_label: str
+    degree: int
+    base: tuple[int, ...]
+    transversals: tuple[dict, ...] = field(repr=False, compare=False)
 
     def is_transitive(self) -> bool:
         return len(self.orbits) == 1
 
+    def __contains__(self, perm) -> bool:
+        """Membership by sifting through the stabilizer chain."""
+        h = tuple(perm.image if isinstance(perm, Permutation) else perm)
+        if len(h) != self.degree:
+            return False
+        for b, level in zip(self.base, self.transversals):
+            entry = level.get(h[b])
+            if entry is None:
+                return False
+            h = _compose(entry[1], h)
+        return h == tuple(range(self.degree))
 
-def orbits_of(elements, n: int) -> tuple[tuple[int, ...], ...]:
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted by image; only for groups of at most
+        ELEMENT_LIST_MAX elements."""
+        if self.order > ELEMENT_LIST_MAX:
+            raise ValueError(f"group of order {self.order} is too large to list")
+        elems = [tuple(range(self.degree))]
+        for level in reversed(self.transversals):
+            elems = [_compose(u, h) for u, _ in level.values() for h in elems]
+        return tuple(Permutation(e) for e in sorted(elems))
+
+
+def orbits_of(perms, n: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits on {0..n-1} of the group generated by ``perms``."""
     seen = [False] * n
     out = []
     for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        queue = [start]
-        seen[start] = True
-        while queue:
-            x = queue.pop()
-            for p in elements:
-                y = p.image[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    seen[y] = True
-                    queue.append(y)
-        out.append(tuple(sorted(orbit)))
+        if not seen[start]:
+            orbit = _orbit(perms, start)
+            for x in orbit:
+                seen[x] = True
+            out.append(tuple(sorted(orbit)))
     return tuple(out)
 
 
-def close_under_composition(perms, cap: int = 10**6) -> list[Permutation]:
-    """BFS closure of a set of permutations under composition.
+def _orbit(perms, v: int) -> set[int]:
+    orbit = {v}
+    queue = [v]
+    for x in queue:
+        for p in perms:
+            y = p.image[x]
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    return orbit
 
-    The identity is always included.  Raises CapExceeded past ``cap``.
+
+def _schreier_sims(gens: list[tuple[int, ...]], n: int):
+    """Deterministic Schreier-Sims: a base of <gens> and the transversals of
+    a strong generating set.
+
+    Level by level from the bottom, every Schreier generator is sifted
+    through the levels below; a nonidentity residue joins the strong
+    generators of every level it fixes the base points above (with a new
+    base point if it fixes the whole base), those levels are rebuilt and
+    the check resumes at the deepest of them (Sims 1970; Seress,
+    Permutation Group Algorithms, 2003, section 4.2).
     """
-    perms = list(perms)
-    if not perms:
-        raise ValueError("need at least one permutation")
-    n = perms[0].n
-    ident = Permutation.identity(n)
-    known = {ident.image: ident}
-    frontier = [ident]
-    gens = []
-    for p in perms:
-        if p.n != n:
-            raise ValueError("degree mismatch")
-        if p.image not in known:
-            known[p.image] = p
-            frontier.append(p)
-        gens.append(p)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = a * b
-                if c.image not in known:
-                    known[c.image] = c
-                    nxt.append(c)
-                    if len(known) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-        frontier = nxt
-    return sorted(known.values(), key=lambda p: p.image)
+    ident = tuple(range(n))
+    base: list[int] = []
+    for g in gens:
+        if all(g[b] == b for b in base):
+            base.append(next(x for x in range(n) if g[x] != x))
+    strong = [list(gens)]  # strong[i]: strong generators fixing base[:i]
+    for i in range(1, len(base)):
+        strong.append([g for g in strong[i - 1] if g[base[i - 1]] == base[i - 1]])
+    trans: list[dict] = [{} for _ in base]
+
+    def build(i: int) -> None:
+        level = {base[i]: (ident, ident)}
+        queue = [base[i]]
+        for beta in queue:
+            u = level[beta][0]
+            for s in strong[i]:
+                gamma = s[beta]
+                if gamma not in level:
+                    v = _compose(s, u)
+                    level[gamma] = (v, _invert(v))
+                    queue.append(gamma)
+        trans[i] = level
+
+    def sift(h: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+        while i < len(base):
+            entry = trans[i].get(h[base[i]])
+            if entry is None:
+                break
+            h = _compose(entry[1], h)
+            i += 1
+        return h, i
+
+    def residue(i: int):
+        """A nonidentity residue of a Schreier generator of level i and the
+        level it stopped at, or None when every one sifts to the identity."""
+        for beta, (u, _) in trans[i].items():
+            for s in strong[i]:
+                su = _compose(s, u)
+                target, target_inv = trans[i][s[beta]]
+                if su == target:
+                    continue  # a tree edge of the orbit: the identity
+                h, j = sift(_compose(target_inv, su), i + 1)
+                if h != ident:
+                    return h, j
+        return None
+
+    for i in range(len(base)):
+        build(i)
+    i = len(base) - 1
+    while i >= 0:
+        found = residue(i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        if j == len(base):
+            base.append(next(x for x in range(n) if h[x] != x))
+            strong.append([])
+            trans.append({})
+        for level in range(i + 1, j + 1):
+            strong[level].append(h)
+            build(level)
+        i = j
+    return tuple(base), tuple(trans)
 
 
-def group_tools(elements, label: str = "Unlabeled") -> GroupDescription:
-    """Package the elements of a group as a GroupDescription.
+def group_tools(generators, label: str = "Unlabeled", degree: int | None = None) -> GroupDescription:
+    """The group generated by ``generators``, with its stabilizer chain.
 
-    The caller asserts the list is already a group; duplicates are removed.
+    Identity generators and duplicates are dropped.  ``degree`` is needed
+    only when there are no generators.
     """
-    uniq = {p.image: p for p in elements}
-    elems = sorted(uniq.values(), key=lambda p: p.image)
-    if not elems:
-        raise ValueError("empty element list")
+    uniq = {p.image: p for p in generators}
+    if degree is None:
+        if not uniq:
+            raise ValueError("need a generator or a degree")
+        degree = len(next(iter(uniq)))
+    if any(len(image) != degree for image in uniq):
+        raise ValueError("degree mismatch")
+    uniq.pop(tuple(range(degree)), None)
+    gens = tuple(uniq[k] for k in sorted(uniq))
+    base, transversals = _schreier_sims([p.image for p in gens], degree)
+    order = 1
+    for level in transversals:
+        order *= len(level)
     return GroupDescription(
-        elements=tuple(elems),
-        order=len(elems),
-        orbits=orbits_of(elems, elems[0].n),
+        generators=gens,
+        order=order,
+        orbits=orbits_of(gens, degree),
         structure_label=label,
+        degree=degree,
+        base=base,
+        transversals=transversals,
+    )
+
+
+def same_group(a: GroupDescription, b: GroupDescription) -> bool:
+    """Equal orders, and the generators of each are members of the other."""
+    return (
+        a.order == b.order
+        and all(p in b for p in a.generators)
+        and all(p in a for p in b.generators)
     )
 
 
 def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
-    """The full automorphism group of g by exhaustive search."""
-    return group_tools(find_isomorphisms(g, g), label=label)
+    """The full automorphism group of g, by orbit-pruned generator search.
+
+    The search first walks the identity path of the isomorphism search tree
+    (every branch vertex sent to itself).  Then, from the deepest level up,
+    at branch vertex v it searches (for one map) only the candidate images
+    of v outside the orbit of v under the generators found so far, and
+    keeps each map found as a generator.  All those generators fix the
+    branch vertices above v, so the final orbit is the orbit of v in their
+    pointwise stabilizer, and the order is the product of the orbit sizes
+    along the path.  Every search runs a subtree of the full enumeration's
+    tree.  Each generator is verified, and the Schreier-Sims order of the
+    generators must equal the product of the orbit sizes.
+    """
+    n = g.n
+    adj = g.adj
+    cand = _initial_candidates(g, g)
+    path = []  # (candidates, assigned mask, branch vertex) per level
+    assigned = 0
+    while assigned != (1 << n) - 1:
+        v = _branch_vertex(cand, assigned)[0]
+        path.append((cand, assigned, v))
+        cand = _assign(adj, adj, cand, assigned, v, v)
+        assigned |= 1 << v
+
+    gens: list[Permutation] = []
+    order = 1
+    for cand, assigned, v in reversed(path):
+        orbit = {v}  # the generators found so far, all deeper, fix v
+        for u in bits(cand[v]):
+            if u in orbit:
+                continue
+            nxt = _assign(adj, adj, cand, assigned, v, u)
+            if nxt is None:
+                continue
+            img = [x if assigned >> x & 1 else -1 for x in range(n)]
+            img[v] = u
+            found = _extensions(adj, adj, nxt, assigned | 1 << v, img, limit=1)
+            if found:
+                gens.append(found[0])
+                orbit = _orbit(gens, v)
+        order *= len(orbit)
+    for p in gens:
+        if not is_isomorphism_map(g, g, p.image):
+            raise AssertionError("search produced a non-automorphism")
+    group = group_tools(gens, label=label, degree=n)
+    if group.order != order:
+        raise AssertionError("Schreier-Sims order disagrees with the search's orbit sizes")
+    return group
 
 
 def is_vertex_transitive(g: Graph) -> bool:
@@ -667,11 +846,12 @@ def has_regular_subgroup(group: GroupDescription, n: int) -> list[Permutation] |
     exhaustive search rules one out.  (By a classical result, a graph is a
     Cayley graph iff its automorphism group has such a subgroup.)
     """
-    if not group.elements or group.degree != n:
+    if group.degree != n:
         raise ValueError("group degree does not match n")
-    elems_set = {p.image for p in group.elements}
+    elements = group.elements
+    elems_set = {p.image for p in elements}
     by_target: dict[int, list[Permutation]] = {t: [] for t in range(n)}
-    for p in group.elements:
+    for p in elements:
         by_target[p.image[0]].append(p)
     if any(not v for v in by_target.values()):
         return None  # not even transitive on targets of 0

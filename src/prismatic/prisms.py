@@ -12,8 +12,8 @@ of structure results:
   diagonally) or swaps them (one antimorphism acting as a swap);
 * for the two families built over an inner graph L (see
   :mod:`prismatic.families`), an extra "special" automorphism s exists that
-  mixes the sides, and the full group is generated by diagonal/swap lifts
-  of extended inner maps together with s;
+  mixes the sides, and the full group is generated by the diagonal/swap
+  lifts together with s;
 * for the pentagon, the prism is the Petersen graph and the group is S5.
 
 This module detects family membership, builds the special automorphism and
@@ -26,13 +26,14 @@ that a prism is never a nontrivial lexicographic product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .families import kneser_graph
 from .graphs import Graph, bits, build_graph, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
     Permutation,
+    automorphism_group,
     find_antimorphisms,
     find_isomorphisms,
     group_tools,
@@ -255,45 +256,25 @@ def _swap_lift(base_map, n: int) -> Permutation:
     return Permutation(tuple(image))
 
 
-def _extend_inner_map(match: FamilyMatch, inner_map, n: int, antimorphism: bool, variant: int):
-    """Extend an inner (anti)automorphism to the whole family graph.
-
-    For automorphisms phi of the inner graph the two extensions fix the
-    outer path or reverse it (y<->z, v<->u).  For antimorphisms sigma the
-    two extensions send the outer quadruple around the two possible
-    4-cycles compatible with complementation.
-    """
-    y, v, u, z = match.outer
-    base = list(range(n))
-    for i, x in enumerate(match.inner_vertices):
-        base[x] = match.inner_vertices[inner_map[i]]
-    if not antimorphism:
-        if variant == 2:
-            base[y], base[z] = z, y
-            base[v], base[u] = u, v
-    else:
-        if variant == 1:
-            base[y], base[v], base[u], base[z] = v, z, y, u
-        else:
-            base[y], base[v], base[u], base[z] = u, y, z, v
-    return base
-
-
 def structured_prism_aut(g: Graph) -> GroupDescription:
     """Assemble Aut(prism of g) from the structure theorems, not brute force.
 
-    Every element is individually verified as a prism automorphism before
-    being returned, so a wrong assembly fails loudly rather than silently.
-    The structure label records which branch applied: S5 for the pentagon,
-    SemidirectZ2 for the two families, AutUnionAntimorphisms for other
-    self-complementary graphs, PlainAut otherwise.
+    The group is given by generators: for the pentagon, two generators of S5
+    pushed through an isomorphism from the Kneser graph K(5,2); otherwise
+    the diagonal lifts of generators of Aut(g), the swap lift of one
+    antimorphism of g when g is self-complementary, and the special map s
+    when g is in a family.  Every generator is verified as a prism
+    automorphism, so the assembled group lies inside Aut(prism) and a wrong
+    assembly shows as a smaller order.  The structure label records which
+    branch applied: S5 for the pentagon, SemidirectZ2 for the two families,
+    AutUnionAntimorphisms for other self-complementary graphs, PlainAut
+    otherwise.
     """
     n = g.n
     prism = complementary_prism(g)
     matches = detect_family(g)
 
-    pentagon = next((m for m in matches if m.kind == "C5" and m.inner.n == 1), None)
-    if pentagon is not None:
+    if any(m.kind == "C5" and m.inner.n == 1 for m in matches):
         # The prism is the Petersen graph: push S5 acting on 2-subsets
         # through one searched isomorphism from the Kneser graph K(5,2).
         kneser = kneser_graph(5, 2)
@@ -304,44 +285,27 @@ def structured_prism_aut(g: Graph) -> GroupDescription:
             raise AssertionError("prism of the pentagon is not the Petersen graph?")
         iso = iso[0]
         iso_inv = iso.inverse()
-        elements = []
-        for pi in permutations(range(1, 6)):
-            relabel = {i + 1: pi[i] for i in range(5)}
+        generators = []
+        for relabel in ({1: 2, 2: 1}, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}):  # (1 2), (1 2 3 4 5)
             on_pairs = Permutation(
-                tuple(index_of[frozenset(relabel[x] for x in s)] for s in pair_sets)
+                tuple(index_of[frozenset(relabel.get(x, x) for x in s)] for s in pair_sets)
             )
-            elements.append(iso * on_pairs * iso_inv)
+            generators.append(iso * on_pairs * iso_inv)
         label = "S5"
-    elif matches:
-        match = matches[0]
-        inner = match.inner
-        inner_auts = find_isomorphisms(inner, inner)
-        inner_antis = find_isomorphisms(inner, inner.complement())
-        s = special_automorphism(g, match)
-        base_elements = []
-        for phi in inner_auts:
-            for variant in (1, 2):
-                base = _extend_inner_map(match, phi.image, n, False, variant)
-                base_elements.append(_diagonal_lift(base, n))
-        for sigma in inner_antis:
-            for variant in (1, 2):
-                base = _extend_inner_map(match, sigma.image, n, True, variant)
-                base_elements.append(_swap_lift(base, n))
-        elements = base_elements + [s * e for e in base_elements]
-        label = "SemidirectZ2"
     else:
-        auts = find_isomorphisms(g, g)
-        antis = find_antimorphisms(g)
-        elements = [_diagonal_lift(p.image, n) for p in auts]
-        elements += [_swap_lift(p.image, n) for p in antis]
-        label = "AutUnionAntimorphisms" if antis else "PlainAut"
+        generators = [_diagonal_lift(p.image, n) for p in automorphism_group(g).generators]
+        anti = find_antimorphisms(g, limit=1)
+        generators += [_swap_lift(p.image, n) for p in anti]
+        if matches:
+            generators.append(special_automorphism(g, matches[0]))
+            label = "SemidirectZ2"
+        else:
+            label = "AutUnionAntimorphisms" if anti else "PlainAut"
 
-    for e in elements:
-        if not is_isomorphism_map(prism, prism, e.image):
-            raise AssertionError("structured element failed verification")
-    if len({e.image for e in elements}) != len(elements):
-        raise AssertionError("structured elements collide; assembly is wrong")
-    return group_tools(elements, label=label)
+    for p in generators:
+        if not is_isomorphism_map(prism, prism, p.image):
+            raise AssertionError("structured generator failed verification")
+    return group_tools(generators, label=label, degree=2 * n)
 
 
 def _kneser52_vertex_sets():

@@ -315,6 +315,24 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert report["status"] == "unknown"
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "2k"])
+def test_non_integer_budget_env_variable_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("PRISMATIC_BUDGET", value)
+    assert_input_error(capsys, ["hamilton", "--name", "cycle:5"])
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_antimorph_limit_below_one_exits_2(capsys, limit):
+    # "none in the first 0" must not read as "not self-complementary"
+    assert_input_error(capsys, ["antimorph", "--name", "cycle:5", f"--limit={limit}"])
+
+
+def test_aut_reports_generator_count(capsys):
+    report = run_json(capsys, ["aut", "--name", "kneser:7:3"])
+    assert report["order"] == 5040
+    assert 1 <= report["generators"] <= 34  # at most one per non-trivial base point
+
+
 def module_env():
     # the child imports the same prismatic package as this test, wherever
     # the suite runs from and whether or not the package is installed

@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from prismatic.families import paley_graph, petersen_graph
+from prismatic.families import kneser_graph, paley_graph, petersen_graph
 from prismatic.graphs import (
     bits,
     build_graph,
@@ -17,13 +17,11 @@ from prismatic.graphs import (
 )
 from prismatic.morphisms import (
     BudgetExhausted,
-    CapExceeded,
     Permutation,
     SearchBudget,
     VertexMap,
     antimorphism_facts,
     automorphism_group,
-    close_under_composition,
     compute_core,
     find_antimorphisms,
     find_homomorphism,
@@ -36,6 +34,7 @@ from prismatic.morphisms import (
     is_self_complementary,
     is_vertex_transitive,
     orbits_of,
+    same_group,
     verify_retraction,
     wreath_map,
 )
@@ -470,6 +469,45 @@ def test_vertex_transitivity():
         is_vertex_transitive(empty_graph(0))
 
 
+class CapExceeded(Exception):
+    """Raised when a group closure grows past its configured cap."""
+
+
+def close_under_composition(perms, cap: int = 10**6) -> list[Permutation]:
+    """BFS closure of a set of permutations under composition: the
+    brute-force reference for the Schreier-Sims chain of ``group_tools``.
+
+    The identity is always included.  Raises CapExceeded past ``cap``.
+    """
+    perms = list(perms)
+    if not perms:
+        raise ValueError("need at least one permutation")
+    n = perms[0].n
+    ident = Permutation.identity(n)
+    known = {ident.image: ident}
+    frontier = [ident]
+    gens = []
+    for p in perms:
+        if p.n != n:
+            raise ValueError("degree mismatch")
+        if p.image not in known:
+            known[p.image] = p
+            frontier.append(p)
+        gens.append(p)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                c = a * b
+                if c.image not in known:
+                    known[c.image] = c
+                    nxt.append(c)
+                    if len(known) > cap:
+                        raise CapExceeded(f"closure exceeded cap {cap}")
+        frontier = nxt
+    return sorted(known.values(), key=lambda p: p.image)
+
+
 def test_close_under_composition_generates_s3():
     gens = [Permutation((1, 0, 2)), Permutation((1, 2, 0))]
     group = close_under_composition(gens)
@@ -481,6 +519,98 @@ def test_close_under_composition_generates_s3():
 def test_group_tools_dedupes():
     grp = group_tools([Permutation.identity(3)] * 4, label="PlainAut")
     assert grp.order == 1 and grp.structure_label == "PlainAut"
+
+
+def random_graph(rng, n):
+    density = rng.uniform(0.1, 0.9)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return build_graph(n, edges)
+
+
+def test_automorphism_group_matches_full_enumeration_on_random_graphs():
+    # the generator search against the element-by-element enumeration, on
+    # seeded random graphs up to 8 vertices and on their prisms
+    rng = random.Random(20261018)
+    for _ in range(250):
+        base = random_graph(rng, rng.randint(1, 8))
+        for g in (base, complementary_prism(base)):
+            full = find_isomorphisms(g, g)
+            grp = automorphism_group(g)
+            assert grp.order == len(full), g.edges()
+            assert grp.degree == g.n
+            assert grp.orbits == orbits_of(full, g.n)
+            assert {p.image for p in grp.elements} == {p.image for p in full}
+            assert all(p in grp for p in full)
+
+
+def random_generators(rng, n):
+    """One to three permutations of degree n, drawn so that small subgroups
+    (with fixed points, cyclic) turn up as well as S_n and A_n."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        image = list(range(n))
+        kind = rng.randrange(4)
+        if kind == 0:  # any permutation
+            rng.shuffle(image)
+        elif kind == 1:  # any permutation of a random subset
+            support = rng.sample(range(n), rng.randint(1, n))
+            for x, y in zip(support, rng.sample(support, len(support))):
+                image[x] = y
+        elif kind == 2:  # a transposition, or the identity
+            x, y = rng.randrange(n), rng.randrange(n)
+            image[x], image[y] = y, x
+        else:  # a rotation of the first m points
+            m, shift = rng.randint(1, n), rng.randrange(n)
+            image[:m] = [(x + shift) % m for x in range(m)]
+        gens.append(Permutation(tuple(image)))
+    return gens
+
+
+def test_schreier_sims_matches_closure_on_random_generators():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        gens = random_generators(rng, n)
+        closure = close_under_composition(gens)
+        members = {p.image for p in closure}
+        grp = group_tools(gens)
+        assert grp.order == len(closure), [p.image for p in gens]
+        assert grp.orbits == orbits_of(closure, n)
+        assert {p.image for p in grp.elements} == members
+        for p in closure:
+            assert p in grp
+        for _ in range(20):
+            image = list(range(n))
+            rng.shuffle(image)
+            assert (Permutation(tuple(image)) in grp) == (tuple(image) in members)
+
+
+def test_group_membership_rejects_wrong_degree():
+    grp = automorphism_group(cycle_graph(5))
+    assert Permutation.identity(5) in grp
+    assert Permutation.identity(6) not in grp
+    assert (1, 2, 3, 4, 0) in grp and (1, 0, 2, 3, 4) not in grp
+
+
+def test_same_group_compares_order_and_generators():
+    c5 = automorphism_group(cycle_graph(5))
+    rotations = group_tools([Permutation((1, 2, 3, 4, 0))])
+    assert same_group(c5, group_tools(c5.generators))
+    assert not same_group(c5, rotations)
+    assert rotations.order == 5
+
+
+@pytest.mark.parametrize("n,k,order", [(5, 2, 120), (7, 3, 5040), (8, 3, 40320)])
+def test_kneser_orders(n, k, order):
+    grp = automorphism_group(kneser_graph(n, k))  # S_n, as n > 2k
+    assert grp.order == order and grp.is_transitive()
+
+
+def test_kneser_9_2_order():
+    grp = automorphism_group(kneser_graph(9, 2))
+    assert grp.order == 362880 and grp.is_transitive()
+    with pytest.raises(ValueError):
+        grp.elements  # too large to list
 
 
 def test_regular_subgroup_search():
