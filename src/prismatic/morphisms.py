@@ -235,33 +235,27 @@ def _branch_vertex(cand: list[int], assigned: int) -> tuple[int, int]:
     return best_v, best_c
 
 
-def _extensions(adj1, adj2, cand, assigned, img, limit) -> list[Permutation]:
-    """All (or the first ``limit``) isomorphisms extending the partial map
+def _extend(adj1, adj2, cand, assigned, img, limit, results) -> bool:
+    """Append to ``results`` the isomorphisms extending the partial map
     ``img`` on the ``assigned`` vertices, whose forward-checked candidates
-    are ``cand``, branching at ``_branch_vertex``."""
-    n = len(cand)
-    full = (1 << n) - 1
-    img = list(img)
-    results: list[Permutation] = []
-
-    def rec(cand: list[int], assigned: int) -> bool:
-        if assigned == full:
-            results.append(Permutation(tuple(img)))
-            return limit is not None and len(results) >= limit
-        v, count = _branch_vertex(cand, assigned)
-        if count == 0:
-            return False
-        for u in bits(cand[v]):
-            nxt = _assign(adj1, adj2, cand, assigned, v, u)
-            if nxt is not None:
-                img[v] = u
-                if rec(nxt, assigned | 1 << v):
-                    return True
-                img[v] = -1
+    are ``cand``, branching at ``_branch_vertex``; True once ``limit`` maps
+    are found.  A module-level function rather than a closure, so that the
+    many short searches of ``automorphism_group`` leave no reference
+    cycles behind for the garbage collector."""
+    if assigned == (1 << len(cand)) - 1:
+        results.append(Permutation(tuple(img)))
+        return limit is not None and len(results) >= limit
+    v, count = _branch_vertex(cand, assigned)
+    if count == 0:
         return False
-
-    rec(cand, assigned)
-    return results
+    for u in bits(cand[v]):
+        nxt = _assign(adj1, adj2, cand, assigned, v, u)
+        if nxt is not None:
+            img[v] = u
+            if _extend(adj1, adj2, nxt, assigned | 1 << v, img, limit, results):
+                return True
+            img[v] = -1
+    return False
 
 
 def find_isomorphisms(g1: Graph, g2: Graph, limit: int | None = None) -> list[Permutation]:
@@ -277,9 +271,9 @@ def find_isomorphisms(g1: Graph, g2: Graph, limit: int | None = None) -> list[Pe
     init = _initial_candidates(g1, g2)
     if init is None:
         return []
-    if g1.n == 0:
-        return [Permutation(())]
-    return _extensions(g1.adj, g2.adj, init, 0, [-1] * g1.n, limit)
+    results: list[Permutation] = []
+    _extend(g1.adj, g2.adj, init, 0, [-1] * g1.n, limit, results)
+    return results
 
 
 def find_antimorphisms(g: Graph, limit: int | None = None) -> list[Permutation]:
@@ -817,8 +811,8 @@ def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
                 continue
             img = [x if assigned >> x & 1 else -1 for x in range(n)]
             img[v] = u
-            found = _extensions(adj, adj, nxt, assigned | 1 << v, img, limit=1)
-            if found:
+            found: list[Permutation] = []
+            if _extend(adj, adj, nxt, assigned | 1 << v, img, 1, found):
                 gens.append(found[0])
                 orbit = _orbit(gens, v)
         order *= len(orbit)
