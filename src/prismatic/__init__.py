@@ -51,6 +51,7 @@ from .morphisms import (
     SearchBudget,
     VertexMap,
     antimorphism_facts,
+    automorphism_generators,
     automorphism_group,
     compute_core,
     find_antimorphisms,

@@ -9,8 +9,8 @@ This module provides
 * core computation by retraction descent: repeatedly find a proper
   endomorphism, convert it into a retraction, restrict, repeat,
 * permutation groups as generators plus a Schreier-Sims stabilizer chain
-  (order, orbits, membership), automorphism groups by orbit-pruned
-  generator search, vertex-transitivity, exhaustive regular-subgroup
+  (order, orbits, membership), automorphism group generators by
+  orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
   search, and wreath-type maps on lexicographic products.
 
 Every map produced by a search can be re-checked by the independent
@@ -774,8 +774,8 @@ def same_group(a: GroupDescription, b: GroupDescription) -> bool:
     )
 
 
-def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
-    """The full automorphism group of g, by orbit-pruned generator search.
+def automorphism_generators(g: Graph) -> tuple[list[Permutation], int]:
+    """Generators of Aut(g) by orbit-pruned search, and the group's order.
 
     The search first walks the identity path of the isomorphism search tree
     (every branch vertex sent to itself).  Then, from the deepest level up,
@@ -785,8 +785,7 @@ def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
     branch vertices above v, so the final orbit is the orbit of v in their
     pointwise stabilizer, and the order is the product of the orbit sizes
     along the path.  Every search runs a subtree of the full enumeration's
-    tree.  Each generator is verified, and the Schreier-Sims order of the
-    generators must equal the product of the orbit sizes.
+    tree.  Each generator is verified.
     """
     n = g.n
     adj = g.adj
@@ -819,7 +818,15 @@ def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
     for p in gens:
         if not is_isomorphism_map(g, g, p.image):
             raise AssertionError("search produced a non-automorphism")
-    group = group_tools(gens, label=label, degree=n)
+    return gens, order
+
+
+def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
+    """The full automorphism group of g: the generators found by
+    ``automorphism_generators`` with their Schreier-Sims chain, whose order
+    must equal the search's product of orbit sizes."""
+    gens, order = automorphism_generators(g)
+    group = group_tools(gens, label=label, degree=g.n)
     if group.order != order:
         raise AssertionError("Schreier-Sims order disagrees with the search's orbit sizes")
     return group

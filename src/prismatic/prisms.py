@@ -33,7 +33,7 @@ from .graphs import Graph, bits, build_graph, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
     Permutation,
-    automorphism_group,
+    automorphism_generators,
     find_antimorphisms,
     find_isomorphisms,
     group_tools,
@@ -293,7 +293,7 @@ def structured_prism_aut(g: Graph) -> GroupDescription:
             generators.append(iso * on_pairs * iso_inv)
         label = "S5"
     else:
-        generators = [_diagonal_lift(p.image, n) for p in automorphism_group(g).generators]
+        generators = [_diagonal_lift(p.image, n) for p in automorphism_generators(g)[0]]
         anti = find_antimorphisms(g, limit=1)
         generators += [_swap_lift(p.image, n) for p in anti]
         if matches:
