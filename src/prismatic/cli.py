@@ -46,6 +46,7 @@ from .prisms import (
     structured_prism_aut,
 )
 from .spectral import (
+    PRISM_SPECTRUM_TOL,
     numeric_spectrum,
     prism_spectrum_closed_form,
     srg_analysis,
@@ -342,7 +343,7 @@ def cmd_spectrum(args) -> int:
             for a, b in zip(closed.eigenvalues, prism_numeric.eigenvalues)
         )
         report["prism_numeric_max_diff"] = diff
-        if diff > args.tolerance:
+        if diff > PRISM_SPECTRUM_TOL:
             raise AssertionError(f"closed form and numeric spectra differ by {diff}")
     emit(report)
     return 0
@@ -628,7 +629,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None, help="search node budget")
     p.add_argument("--json", action="store_true", help="JSON report even for graph-emitting commands")
-    p.add_argument("--tolerance", type=float, default=1e-9, help="numeric comparison tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cheeger", cmd_cheeger, help="Cheeger number (closed form for prisms)")
     p.add_argument("--prism", action="store_true", help="closed form for the prism of the input")
     p.add_argument("--brute", action="store_true", help="force the brute-force cross-check")
-    p = add("spectrum", cmd_spectrum, help="adjacency spectrum by cyclic Jacobi")
+    p = add("spectrum", cmd_spectrum, help="adjacency spectrum by LAPACK eigvalsh")
     p.add_argument("--prism-closed-form", action="store_true",
                    help="also compute the prism spectrum closed form and cross-check")
     add("srg", cmd_srg, help="strong regularity and 1-walk-regularity analysis")

@@ -1,8 +1,8 @@
 """Adjacency spectra, strong regularity, and eigenvalue bounds.
 
 Two independent routes to prism spectra are kept deliberately separate: a
-numeric eigensolver (cyclic Jacobi on the adjacency matrix) and the closed
-form for the complementary prism of a connected regular graph.  Tests
+numeric eigensolver (LAPACK ``eigvalsh`` on the adjacency matrix) and the
+closed form for the complementary prism of a connected regular graph.  Tests
 compare the two; neither is ever derived from the other.
 
 For a connected k-regular graph G on n vertices with adjacency eigenvalues
@@ -22,18 +22,16 @@ import numpy as np
 from .graphs import Graph
 from .morphisms import is_self_complementary
 
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
 MULTIPLICITY_TOL = 1e-7
+PRISM_SPECTRUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues of one graph, sorted descending, with their provenance."""
+    """Eigenvalues of one graph, sorted descending."""
 
     n: int
     eigenvalues: tuple[float, ...]
-    source: str  # "jacobi_numeric" or "closed_form"
 
     def multiplicity_pairs(self, tol: float = MULTIPLICITY_TOL) -> list[tuple[float, int]]:
         """Bin the sorted eigenvalue list into (value, multiplicity) pairs."""
@@ -47,58 +45,6 @@ class SpectrumReport:
         return pairs
 
 
-def _jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi iteration for a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal pair in turn until the
-    off-diagonal Frobenius norm drops below JACOBI_TOL relative to the
-    matrix norm.  Raises ArithmeticError (reporting the residual) if the
-    sweep cap is hit, which for symmetric input indicates a bug rather
-    than an unlucky matrix.
-    """
-    a = a.astype(float).copy()
-    n = a.shape[0]
-    if n <= 1:
-        return np.diag(a).copy() if n else np.zeros(0)
-    scale = max(1.0, float(np.linalg.norm(a)))
-
-    def off_norm() -> float:
-        # Sum squares of the strictly off-diagonal part directly; the
-        # subtraction trick (|A|^2 - |diag|^2) cancels catastrophically
-        # once the true off-diagonal mass is small.
-        stripped = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(stripped))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = off_norm()
-        if off <= JACOBI_TOL * scale:
-            return np.diag(a).copy()
-        # Rotations smaller than this contribute nothing this sweep.
-        threshold = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    raise ArithmeticError(
-        f"Jacobi did not converge; off-diagonal residual {off_norm():.3e}"
-    )
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     m = np.zeros((g.n, g.n), dtype=np.int64)
     for v, u in g.edges():
@@ -107,10 +53,9 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def numeric_spectrum(g: Graph) -> SpectrumReport:
-    """Eigenvalues of the adjacency matrix by cyclic Jacobi iteration."""
-    eigs = _jacobi_eigenvalues(adjacency_matrix(g))
-    values = tuple(sorted((float(x) for x in eigs), reverse=True))
-    return SpectrumReport(n=g.n, eigenvalues=values, source="jacobi_numeric")
+    """Eigenvalues of the adjacency matrix by LAPACK ``eigvalsh``."""
+    eigs = np.linalg.eigvalsh(adjacency_matrix(g))  # ascending
+    return SpectrumReport(n=g.n, eigenvalues=tuple(float(x) for x in eigs[::-1]))
 
 
 def _require_connected_regular(g: Graph) -> int:
@@ -137,7 +82,7 @@ def prism_spectrum_closed_form(g: Graph) -> SpectrumReport:
         values.append((-1 - d) / 2)
     values.sort(reverse=True)
     assert len(values) == 2 * n
-    return SpectrumReport(n=2 * n, eigenvalues=tuple(values), source="closed_form")
+    return SpectrumReport(n=2 * n, eigenvalues=tuple(values))
 
 
 def prism_extreme_eigenvalues(g: Graph) -> tuple[float, float]:

@@ -173,7 +173,7 @@ def test_criterion_04_prism_spectra(capsys):
         ]
         for g in corpus:
             closed = prism_spectrum_closed_form(g).eigenvalues
-            # [DERIVED] independent cyclic-Jacobi eigensolver, tolerance 1e-9
+            # [DERIVED] independent LAPACK eigvalsh eigensolver, tolerance 1e-9
             numeric = numeric_spectrum(complementary_prism(g)).eigenvalues
             assert max(abs(a - b) for a, b in zip(closed, numeric)) < 1e-9
         # [PAPER] pentagon prism spectrum is 3, 1 (x5), -2 (x4)

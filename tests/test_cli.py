@@ -162,6 +162,23 @@ def test_spectrum_plain(capsys):
     assert abs(pairs[1][0] + 1) < 1e-9 and pairs[1][1] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [(["--g6", "?"], []), (["--name", "complete:1"], [[0.0, 1]])],
+    ids=["null-graph", "K1"],
+)
+def test_spectrum_of_trivial_graphs(capsys, argv, pairs):
+    assert run_json(capsys, ["spectrum"] + argv)["numeric"] == pairs
+
+
+def test_tolerance_flag_is_rejected():
+    # the cross-check tolerance is fixed: a negative one used to fail a
+    # correct closed form as "spectra differ", and nan switched the check off
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectrum", "--name", "paley:9", "--prism-closed-form", "--tolerance", "-1"])
+    assert exit_info.value.code == 2
+
+
 def test_srg_command(capsys):
     report = run_json(capsys, ["srg", "--name", "figure_f9:1"])
     assert report["strongly_regular"] is True

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from prismatic.families import figure_f9, paley_graph, petersen_graph
@@ -16,6 +18,7 @@ from prismatic.graphs import (
 )
 from prismatic.spectral import (
     EigenvalueBoundReport,
+    adjacency_matrix,
     SrgParams,
     eigenvalue_bound_checks,
     is_one_walk_regular,
@@ -50,6 +53,34 @@ def test_spectrum_trace_identities():
         eigs = numeric_spectrum(g).eigenvalues
         assert abs(sum(eigs)) < 1e-9  # trace of A
         assert abs(sum(x * x for x in eigs) - 2 * g.edge_count()) < 1e-9
+
+
+def random_graph(rng, n):
+    density = rng.uniform(0.1, 0.9)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return build_graph(n, edges)
+
+
+def test_spectrum_power_sums_match_exact_traces_on_random_graphs():
+    # Newton's identities tie the eigenvalues to the closed-walk counts:
+    # sum(l**p) == trace(A**p), here with exact int64 matrix powers, so the
+    # oracle shares no code with the eigensolver
+    rng = random.Random(20261018)
+    for _ in range(100):
+        base = random_graph(rng, rng.randint(1, 16))
+        for g in (base, complementary_prism(base)):
+            eigs = np.array(numeric_spectrum(g).eigenvalues)
+            assert len(eigs) == g.n
+            assert all(a >= b for a, b in zip(eigs, eigs[1:]))
+            a = adjacency_matrix(g)
+            for p in range(1, 5):
+                trace = int(np.trace(np.linalg.matrix_power(a, p)))
+                scale = g.n * max(1, max(g.degrees())) ** p  # bounds sum(|l|**p)
+                assert abs(float((eigs**p).sum()) - trace) <= 1e-8 * scale, (g.edges(), p)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabelled = numeric_spectrum(g.relabel(perm)).eigenvalues
+            assert max(abs(x - y) for x, y in zip(eigs, relabelled)) < 1e-9, g.edges()
 
 
 def test_spectrum_is_sorted_descending():
