@@ -73,6 +73,7 @@ from .prisms import (
     CoreCaseViolation,
     FamilyMatch,
     PrismPredicates,
+    PrismStructure,
     RatioClass,
     classify_core_case,
     detect_family,

@@ -14,6 +14,7 @@ are ordinary results with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,17 +33,12 @@ from .morphisms import (
     compute_core,
     find_antimorphisms,
     find_isomorphisms,
-    has_regular_subgroup,
-    is_self_complementary,
-    same_group,
     verify_retraction,
 )
 from .prisms import (
     classify_core_case,
-    detect_family,
     not_lex_product_check,
     prism_predicates,
-    ratio_class,
     structured_prism_aut,
 )
 from .spectral import (
@@ -131,22 +127,13 @@ def budget_from(args) -> int | None:
 def detect_prism_layout(g: Graph) -> Graph | None:
     """Recognize the standard prism labeling (base, complement, matching).
 
-    Returns the base graph when vertices 0..n-1 induce a graph whose
-    complement is induced by n..2n-1 and the only cross edges are the
-    identity matching; None otherwise.
+    Returns the graph induced by vertices 0..n-1 when g is exactly its
+    complementary prism in the standard labeling; None otherwise.
     """
     if g.n == 0 or g.n % 2:
         return None
-    n = g.n // 2
-    for v in range(n):
-        for u in range(n):
-            if g.has_edge(v, n + u) != (v == u):
-                return None
-    side1 = g.induced(range(n))
-    side2 = g.induced(range(n, 2 * n))
-    if side2.adj != side1.complement().adj:
-        return None
-    return side1
+    base = g.induced(range(g.n // 2))
+    return base if complementary_prism(base) == g else None
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +179,14 @@ def cmd_aut(args) -> int:
     }
     base = detect_prism_layout(g)
     if base is not None:
-        structured = structured_prism_aut(base)
-        if not same_group(structured, group):
-            raise AssertionError("structured prism group disagrees with brute force")
-        base_group = automorphism_group(base)
-        rc = ratio_class(base)
-        if base_group.order * rc.value != group.order:
-            raise AssertionError("ratio classification disagrees with group orders")
+        structure = structured_prism_aut(base)
+        structure.check(group)
         report["prism_of"] = {
             "n": base.n,
-            "base_aut_order": base_group.order,
-            "ratio": rc.value,
-            "ratio_reason": rc.reason,
-            "structure": structured.structure_label,
+            "base_aut_order": structure.base_group.order,
+            "ratio": structure.ratio.value,
+            "ratio_reason": structure.ratio.reason,
+            "structure": structure.group.structure_label,
         }
     emit(report)
     return 0
@@ -263,11 +245,9 @@ def cmd_core(args) -> int:
 
 def cmd_classify(args) -> int:
     g = load_graph(args)
-    matches = detect_family(g)
     with precondition():  # the null graph has no prism
-        group = structured_prism_aut(g)
-    rc = ratio_class(g)
-    preds = prism_predicates(g)
+        structure = structured_prism_aut(g)
+    preds = prism_predicates(structure)
     report = {
         "command": "classify",
         "n": g.n,
@@ -278,13 +258,13 @@ def cmd_classify(args) -> int:
                 "inner_vertices": m.inner_vertices,
                 "outer": m.outer,
             }
-            for m in matches
+            for m in structure.matches
         ],
-        "self_complementary": is_self_complementary(g),
-        "prism_aut_order": group.order,
-        "prism_aut_structure": group.structure_label,
-        "ratio": rc.value,
-        "ratio_reason": rc.reason,
+        "self_complementary": structure.antimorphism is not None,
+        "prism_aut_order": structure.group.order,
+        "prism_aut_structure": structure.group.structure_label,
+        "ratio": structure.ratio.value,
+        "ratio_reason": structure.ratio.reason,
         "prism_vertex_transitive": preds.vertex_transitive,
         "prism_is_cayley": preds.is_cayley,
         "prism_diameter": preds.diameter,
@@ -514,15 +494,15 @@ def _verify_petersen() -> dict:
     prism = complementary_prism(cycle_graph(5))
     iso = bool(find_isomorphisms(prism, pet, limit=1))
     brute = automorphism_group(prism)
-    structured = structured_prism_aut(cycle_graph(5))
-    rc = ratio_class(cycle_graph(5))
+    structure = structured_prism_aut(cycle_graph(5))
+    structure.check(brute)
     core = compute_core(pet)
     return {
         "fixture": "petersen",
         "prism_of_c5_isomorphic": iso,
         "aut_order_brute": brute.order,
-        "aut_order_structured": structured.order,
-        "ratio": rc.value,
+        "aut_order_structured": structure.group.order,
+        "ratio": structure.ratio.value,
         "is_core": core.is_core_itself,
     }
 
@@ -582,25 +562,7 @@ def cmd_sweep(args) -> int:
     for n in range(1, args.max_n + 1):
         for g in _all_graphs(n):
             prism = complementary_prism(g)
-            structured = structured_prism_aut(g)
-            brute = automorphism_group(prism)
-            if structured.order != brute.order:
-                raise AssertionError(f"aut order mismatch on {g.adj}")
-            if not same_group(structured, brute):
-                raise AssertionError(f"aut group mismatch on {g.adj}")
-            rc = ratio_class(g)
-            base_order = automorphism_group(g).order
-            if rc.value not in (1, 2, 4, 12) or base_order * rc.value != brute.order:
-                raise AssertionError(f"ratio classification failed on {g.adj}")
-            if not detect_family(g):
-                # side-preserving and side-swapping maps form a subgroup,
-                # so checking the generators checks every element
-                half = g.n
-                for p in brute.generators:
-                    diagonal = all(p.image[v] < half for v in range(half))
-                    swap = all(p.image[v] >= half for v in range(half))
-                    if not (diagonal or swap):
-                        raise AssertionError(f"automorphism dichotomy failed on {g.adj}")
+            structured_prism_aut(g).check(automorphism_group(prism))
             closed = cheeger_closed_form(g)
             brute_h = cheeger_brute_force(prism)
             if closed.value != brute_h.value:
@@ -631,7 +593,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="JSON report even for graph-emitting commands")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="prismatic",
         description="complementary prisms: constructions, automorphisms, cores, spectra, expansion",

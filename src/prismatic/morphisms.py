@@ -21,7 +21,7 @@ verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import inf, lcm
 
 from .graphs import Graph, bits
 
@@ -224,7 +224,7 @@ def _assign(adj1, adj2, cand: list[int], assigned: int, v: int, u: int) -> list[
 def _branch_vertex(cand: list[int], assigned: int) -> tuple[int, int]:
     """The unassigned vertex with the fewest candidates (ties broken by
     index) and its candidate count."""
-    best_v, best_c = -1, len(cand) + 2
+    best_v, best_c = -1, inf
     for v in range(len(cand)):
         if not assigned >> v & 1:
             c = cand[v].bit_count()
@@ -380,15 +380,7 @@ def find_homomorphism(
         budget.spend()
         if assigned == full1:
             return True
-        best_v, best_c = -1, n2 + 2
-        for v in range(n1):
-            if not assigned >> v & 1:
-                c = cand[v].bit_count()
-                if c < best_c:
-                    best_v, best_c = v, c
-                    if c <= 1:
-                        break
-        v = best_v
+        v = _branch_vertex(cand, assigned)[0]
         assigned |= 1 << v
         for u in bits(cand[v]):
             au = adj2[u]

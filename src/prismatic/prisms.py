@@ -25,21 +25,23 @@ that a prism is never a nontrivial lexicographic product.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .families import kneser_graph
+from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, build_graph, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
     Permutation,
-    automorphism_generators,
+    automorphism_group,
     find_antimorphisms,
     find_isomorphisms,
     group_tools,
     is_isomorphism_map,
     is_self_complementary,
     CoreReport,
+    same_group,
     verify_retraction,
 )
 
@@ -256,31 +258,108 @@ def _swap_lift(base_map, n: int) -> Permutation:
     return Permutation(tuple(image))
 
 
-def structured_prism_aut(g: Graph) -> GroupDescription:
+@dataclass(frozen=True)
+class RatioClass:
+    """|Aut(prism of g)| / |Aut(g)|, the structural reason, and the label
+    of the structure theorem that applies."""
+
+    value: int
+    reason: str
+    structure_label: str
+
+
+def ratio_class(
+    matches: Sequence[FamilyMatch], antimorphism: Permutation | None
+) -> RatioClass:
+    """Decide which structure theorem describes Aut(prism of g).
+
+    Takes the family matches of g and one antimorphism of g (None when g is
+    not self-complementary), never the group orders, so comparing the ratio
+    with brute-force orders stays an independent check.  The only possible
+    values are 12 (pentagon), 4 (family graph with self-complementary inner
+    graph), 2 (family graph with non-self-complementary inner graph, or
+    self-complementary non-family graph), and 1 (everything else); the
+    structure labels are S5, SemidirectZ2, AutUnionAntimorphisms for
+    self-complementary graphs outside the families, and PlainAut.
+    """
+    if any(m.kind == "C5" and m.inner.n == 1 for m in matches):
+        return RatioClass(12, "pentagon: the prism is the Petersen graph", "S5")
+    if matches:
+        match = matches[0]
+        if match.inner.n == 0 or is_self_complementary(match.inner):
+            return RatioClass(
+                4, f"{match.kind}-family with self-complementary inner graph", "SemidirectZ2"
+            )
+        return RatioClass(
+            2, f"{match.kind}-family with non-self-complementary inner graph", "SemidirectZ2"
+        )
+    if antimorphism is not None:
+        return RatioClass(2, "self-complementary, outside both families", "AutUnionAntimorphisms")
+    return RatioClass(1, "outside both families and not self-complementary", "PlainAut")
+
+
+@dataclass(frozen=True)
+class PrismStructure:
+    """Aut(prism of ``graph``) as the structure theorems describe it.
+
+    ``matches`` are the family matches of the graph, ``base_group`` is
+    Aut(graph), ``antimorphism`` one antimorphism of the graph or None,
+    ``group`` the assembled Aut(prism) and ``ratio`` the theorem's
+    |Aut(prism)| / |Aut(graph)|.
+    """
+
+    graph: Graph
+    matches: tuple[FamilyMatch, ...]
+    base_group: GroupDescription
+    antimorphism: Permutation | None
+    group: GroupDescription
+    ratio: RatioClass
+
+    def check(self, brute: GroupDescription) -> None:
+        """Compare with a brute-force Aut(prism); AssertionError on any
+        disagreement.  The assembled group must equal ``brute``, the ratio
+        times |Aut(graph)| must equal its order, and outside the families
+        every generator of ``brute`` must preserve or swap the two sides
+        (such maps form a subgroup, so the generators stand for every
+        element)."""
+        where = f" on {self.graph.adj}"
+        if not same_group(self.group, brute):
+            raise AssertionError("structured prism group disagrees with brute force" + where)
+        if self.base_group.order * self.ratio.value != brute.order:
+            raise AssertionError("ratio classification disagrees with group orders" + where)
+        if not self.matches:
+            n = self.graph.n
+            for p in brute.generators:
+                if sum(p.image[v] >= n for v in range(n)) not in (0, n):
+                    raise AssertionError("automorphism dichotomy failed" + where)
+
+
+def structured_prism_aut(g: Graph) -> PrismStructure:
     """Assemble Aut(prism of g) from the structure theorems, not brute force.
 
-    The group is given by generators: for the pentagon, two generators of S5
+    One pass: detect the families, compute Aut(g) and search for one
+    antimorphism, each once; ``ratio_class`` then picks the branch.  The
+    group is given by generators: for the pentagon, two generators of S5
     pushed through an isomorphism from the Kneser graph K(5,2); otherwise
-    the diagonal lifts of generators of Aut(g), the swap lift of one
-    antimorphism of g when g is self-complementary, and the special map s
-    when g is in a family.  Every generator is verified as a prism
-    automorphism, so the assembled group lies inside Aut(prism) and a wrong
-    assembly shows as a smaller order.  The structure label records which
-    branch applied: S5 for the pentagon, SemidirectZ2 for the two families,
-    AutUnionAntimorphisms for other self-complementary graphs, PlainAut
-    otherwise.
+    the diagonal lifts of generators of Aut(g), the swap lift of the
+    antimorphism when g is self-complementary, and the special map s when g
+    is in a family.  Every generator is verified as a prism automorphism,
+    so the assembled group lies inside Aut(prism) and a wrong assembly
+    shows as a smaller order.
     """
     n = g.n
     prism = complementary_prism(g)
-    matches = detect_family(g)
+    matches = tuple(detect_family(g))
+    base_group = automorphism_group(g)
+    anti = next(iter(find_antimorphisms(g, limit=1)), None)
+    ratio = ratio_class(matches, anti)
 
-    if any(m.kind == "C5" and m.inner.n == 1 for m in matches):
+    if ratio.structure_label == "S5":
         # The prism is the Petersen graph: push S5 acting on 2-subsets
         # through one searched isomorphism from the Kneser graph K(5,2).
-        kneser = kneser_graph(5, 2)
-        pair_sets = [frozenset(s) for s in _kneser52_vertex_sets()]
+        pair_sets = colex_subsets(5, 2)
         index_of = {s: i for i, s in enumerate(pair_sets)}
-        iso = find_isomorphisms(kneser, prism, limit=1)
+        iso = find_isomorphisms(kneser_graph(5, 2), prism, limit=1)
         if not iso:
             raise AssertionError("prism of the pentagon is not the Petersen graph?")
         iso = iso[0]
@@ -291,61 +370,18 @@ def structured_prism_aut(g: Graph) -> GroupDescription:
                 tuple(index_of[frozenset(relabel.get(x, x) for x in s)] for s in pair_sets)
             )
             generators.append(iso * on_pairs * iso_inv)
-        label = "S5"
     else:
-        generators = [_diagonal_lift(p.image, n) for p in automorphism_generators(g)[0]]
-        anti = find_antimorphisms(g, limit=1)
-        generators += [_swap_lift(p.image, n) for p in anti]
+        generators = [_diagonal_lift(p.image, n) for p in base_group.generators]
+        if anti is not None:
+            generators.append(_swap_lift(anti.image, n))
         if matches:
             generators.append(special_automorphism(g, matches[0]))
-            label = "SemidirectZ2"
-        else:
-            label = "AutUnionAntimorphisms" if anti else "PlainAut"
 
     for p in generators:
         if not is_isomorphism_map(prism, prism, p.image):
             raise AssertionError("structured generator failed verification")
-    return group_tools(generators, label=label, degree=2 * n)
-
-
-def _kneser52_vertex_sets():
-    from .families import colex_subsets
-
-    return colex_subsets(5, 2)
-
-
-# ---------------------------------------------------------------------------
-# Ratio classification.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RatioClass:
-    """|Aut(prism of g)| / |Aut(g)| together with the structural reason."""
-
-    value: int
-    reason: str
-
-
-def ratio_class(g: Graph) -> RatioClass:
-    """Classify the automorphism-count ratio of the prism over the base.
-
-    The only possible values are 12 (pentagon), 4 (family graph with
-    self-complementary inner graph), 2 (family graph with non-self-
-    complementary inner graph, or self-complementary non-family graph),
-    and 1 (everything else).
-    """
-    matches = detect_family(g)
-    if any(m.kind == "C5" and m.inner.n == 1 for m in matches):
-        return RatioClass(12, "pentagon: the prism is the Petersen graph")
-    if matches:
-        match = matches[0]
-        if match.inner.n == 0 or is_self_complementary(match.inner):
-            return RatioClass(4, f"{match.kind}-family with self-complementary inner graph")
-        return RatioClass(2, f"{match.kind}-family with non-self-complementary inner graph")
-    if is_self_complementary(g):
-        return RatioClass(2, "self-complementary, outside both families")
-    return RatioClass(1, "outside both families and not self-complementary")
+    group = group_tools(generators, label=ratio.structure_label, degree=2 * n)
+    return PrismStructure(g, matches, base_group, anti, group, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +396,21 @@ class PrismPredicates:
     diameter: int
 
 
-def prism_predicates(g: Graph) -> PrismPredicates:
-    """Vertex-transitivity, Cayley-ness and diameter of the prism of g.
+def prism_predicates(structure: PrismStructure) -> PrismPredicates:
+    """Vertex-transitivity, Cayley-ness and diameter of the prism of a graph.
 
     Vertex-transitivity is computed twice -- via the characterization
-    (g vertex-transitive and self-complementary) and via the orbits of the
+    (Aut(g) transitive and an antimorphism exists) and via the orbits of the
     structured group -- and the two must agree.  The prism of a graph on
     more than one vertex is never a Cayley graph; the single-vertex prism
     is K2.  The diameter is at most three, exactly one for K2, and exactly
     two iff both g and its complement have diameter two.
     """
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    from .morphisms import is_vertex_transitive
-
-    vt_characterization = is_vertex_transitive(g) and is_self_complementary(g)
-    group = structured_prism_aut(g)
-    vt_orbits = group.is_transitive()
+    g = structure.graph
+    vt_characterization = (
+        structure.base_group.is_transitive() and structure.antimorphism is not None
+    )
+    vt_orbits = structure.group.is_transitive()
     if vt_characterization != vt_orbits:
         raise AssertionError(
             "vertex-transitivity characterization disagrees with orbit computation"

@@ -195,11 +195,11 @@ def _srg_implies_walk_regular(g: Graph, p: SrgParams) -> bool:
     return bool((lhs == rhs).all())
 
 
-def _walk_regularity_scan(g: Graph, max_power: int):
+def _walk_regularity_scan(g: Graph):
     """Return (diagonal_witness, edge_witness), either possibly None.
 
-    Scans exact integer powers A^2 .. A^max_power; powers up to n are
-    definitive since A^n is a linear combination of lower powers.  Integer
+    Scans exact integer powers A^2 .. A^n, which is definitive since A^n is
+    a linear combination of lower powers.  Integer
     arithmetic switches from int64 to arbitrary precision before any
     overflow is possible.
     """
@@ -210,7 +210,7 @@ def _walk_regularity_scan(g: Graph, max_power: int):
     exact = None  # object-dtype fallback once int64 could overflow
     diag_w = edge_w = None
     kmax = max(g.degrees(), default=0)
-    for i in range(2, max_power + 1):
+    for i in range(2, n + 1):
         if exact is None:
             if int(power.max()) * max(kmax, 1) * n < 2**62:
                 power = power @ a64
@@ -244,21 +244,18 @@ def _walk_regularity_scan(g: Graph, max_power: int):
     return diag_w, edge_w
 
 
-def srg_analysis(g: Graph, max_power: int | None = None) -> SrgAnalysis:
+def srg_analysis(g: Graph) -> SrgAnalysis:
     """Strong regularity, 1-walk-regularity, and the self-complementary
     eigenvalue triple, in one report.
 
     1-walk-regularity is decided by scanning exact powers of the adjacency
-    matrix up to ``max_power`` (default n, which is definitive).  When the
-    graph is strongly regular the scan is replaced by an exact check of
-    the defining matrix identity, which implies 1-walk-regularity for all
-    powers at once.  The reported witness is the first diagonal violation
+    matrix up to the n-th, which is definitive.  When the graph is strongly
+    regular the scan is replaced by an exact check of the defining matrix
+    identity, which implies 1-walk-regularity for all powers at once.  The reported witness is the first diagonal violation
     when one exists (two vertices with different closed-walk counts),
     otherwise the first edge violation.
     """
     params = srg_params(g)
-    if max_power is None:
-        max_power = g.n
     sc_eigen = None
     if params is not None:
         if not params.feasible():
@@ -277,7 +274,7 @@ def srg_analysis(g: Graph, max_power: int | None = None) -> SrgAnalysis:
             r = math.sqrt(n)
             sc_eigen = ((n - 1) / 2, (r - 1) / 2, (-r - 1) / 2)
     else:
-        diag_w, edge_w = _walk_regularity_scan(g, max_power)
+        diag_w, edge_w = _walk_regularity_scan(g)
         if diag_w is not None:
             one_wr = diag_w
         elif edge_w is not None:

@@ -537,25 +537,13 @@ def prism_ham_constructions(g: Graph, all_pairs: bool = True, budget=None) -> Pr
 
     ham_connected = None
     if all_pairs and n >= 3:
-        paths1: dict[tuple[int, int], list[int]] = {}
-        paths2: dict[tuple[int, int], list[int]] = {}
-        ok = True
-        for h, store in ((g, paths1), (comp, paths2)):
-            for a in range(n):
-                for b in range(n):
-                    if a == b:
-                        continue
-                    got = hamiltonian(h, "path_between", a, b, budget=budget)
-                    if got is None:
-                        ok = False
-                        notes.append("base graph or complement is not Hamiltonian-connected")
-                        break
-                    store[(a, b)] = got
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        paths1 = hamiltonian(g, "connected", budget=budget)
+        paths2 = paths1 and hamiltonian(comp, "connected", budget=budget)
+        if not paths2:
+            notes.append("base graph or complement is not Hamiltonian-connected")
+        else:
+            for store in (paths1, paths2):  # one path per pair a < b; reverse it for b .. a
+                store.update({(b, a): path[::-1] for (a, b), path in list(store.items())})
             ham_connected = {}
             for x in range(n):
                 for y in range(n):

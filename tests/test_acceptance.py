@@ -105,7 +105,7 @@ def test_criterion_01_pentagon_prism_is_petersen(capsys):
         assert find_isomorphisms(prism, petersen, limit=1)
         # [DERIVED] brute-force automorphism count of either copy is 120
         assert automorphism_group(prism).order == 120
-        grp = structured_prism_aut(cycle_graph(5))
+        grp = structured_prism_aut(cycle_graph(5)).group
         assert grp.order == 120 and grp.structure_label == "S5"
 
 
@@ -115,7 +115,8 @@ def test_criterion_02_ratio_theorem_sweep(capsys):
         count = 0
         for n in range(1, 6):
             for g in all_graphs(n):
-                structured = structured_prism_aut(g)
+                record = structured_prism_aut(g)
+                structured = record.group
                 brute = automorphism_group(complementary_prism(g))
                 # [DERIVED] the structurally assembled group equals the
                 # brute-force group element-for-element
@@ -124,7 +125,7 @@ def test_criterion_02_ratio_theorem_sweep(capsys):
                     p.image for p in brute.elements
                 }
                 # [PAPER] the only possible ratios are 1, 2, 4 and 12
-                r = ratio_class(g)
+                r = ratio_class(record.matches, record.antimorphism)
                 assert r.value in (1, 2, 4, 12)
                 base = automorphism_group(g)
                 assert brute.order == r.value * base.order, g.edges()
@@ -277,13 +278,13 @@ def test_criterion_08_transitivity_and_cayleyness(capsys):
         for name, g, expected in corpus:
             # prism_predicates cross-checks the structural characterization
             # against the brute-force orbit computation internally
-            pred = prism_predicates(g)
+            pred = prism_predicates(structured_prism_aut(g))
             assert pred.vertex_transitive is expected, name
             # [DERIVED] second route: orbit count of the brute-force group
             brute = automorphism_group(complementary_prism(g)).is_transitive()
             assert brute is expected, name
         # f9_1 is isomorphic to paley9, so its prism is vertex-transitive too
-        assert prism_predicates(figure_f9(1)).vertex_transitive is True
+        assert prism_predicates(structured_prism_aut(figure_f9(1))).vertex_transitive is True
         # [PAPER] prisms of the pentagon and the path are not Cayley graphs:
         # no subgroup of the automorphism group acts regularly
         for g in (cycle_graph(5), path_graph(4)):

@@ -1,7 +1,9 @@
 import importlib
 import io
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from prismatic import cli
 from prismatic.cli import main
 from prismatic.families import paley_graph
 from prismatic.graphio import parse_graph6, write_graph6
-from prismatic.graphs import complementary_prism, cycle_graph
+from prismatic.graphs import build_graph, complementary_prism, cycle_graph
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -66,6 +68,40 @@ def test_pentagon_prism_pipeline_matches_worked_example(capsys, monkeypatch):
     assert report["prism_of"]["ratio"] == 12
     assert report["prism_of"]["base_aut_order"] == 10
     assert report["prism_of"]["structure"] == "S5"
+
+
+def layout_by_definition(g):
+    """The base graph when g is its complementary prism in the standard
+    labeling, checked edge by edge against the definition; None otherwise."""
+    if g.n == 0 or g.n % 2:
+        return None
+    n = g.n // 2
+    if any(g.has_edge(v, n + u) != (v == u) for v in range(n) for u in range(n)):
+        return None
+    side1, side2 = g.induced(range(n)), g.induced(range(n, 2 * n))
+    return side1 if side2 == side1.complement() else None
+
+
+def test_detect_prism_layout_matches_the_definition():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        p = rng.random()
+        base = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        prism = complementary_prism(base)
+        assert cli.detect_prism_layout(prism) == base == layout_by_definition(prism)
+        # a random relabelling usually breaks the standard layout
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        relabelled = prism.relabel(perm)
+        assert cli.detect_prism_layout(relabelled) == layout_by_definition(relabelled)
+        if n >= 2:
+            # move one matching edge {v, n+v} to {v, n+u}
+            v, u = rng.sample(range(n), 2)
+            edges = set(prism.edges()) - {(v, n + v)} | {(v, n + u)}
+            moved = build_graph(2 * n, edges)
+            assert cli.detect_prism_layout(moved) is None
+            assert layout_by_definition(moved) is None
 
 
 def test_aut_plain_graph(capsys):
@@ -404,3 +440,7 @@ def test_module_entry_point_passes_exit_code():
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()

@@ -38,6 +38,7 @@ from prismatic.morphisms import (
     verify_retraction,
     wreath_map,
 )
+from prismatic.morphisms import _branch_vertex
 
 # -- permutation algebra ------------------------------------------------------
 
@@ -341,6 +342,13 @@ def test_homomorphism_search_matches_reference_on_prisms_minus_a_vertex():
         target = prism.induced([v for v in range(prism.n) if v != drop])
         assert_same_search(prism, target)
         assert_same_search(prism, target, random_constraints(rng, prism, target))
+
+
+def test_branch_vertex_handles_candidate_sets_wider_than_the_source():
+    # a homomorphism source of two vertices into a ten-vertex target
+    wide = (1 << 10) - 1
+    assert _branch_vertex([wide, wide >> 1], 0) == (1, 9)
+    assert _branch_vertex([wide, wide >> 1], 0b10) == (0, 10)
 
 
 def test_search_budget_counts_nodes_without_a_limit():

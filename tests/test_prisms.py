@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -20,6 +21,7 @@ from prismatic.morphisms import (
     VertexMap,
     automorphism_group,
     compute_core,
+    find_antimorphisms,
     find_isomorphisms,
     is_isomorphism_map,
     is_vertex_transitive,
@@ -194,7 +196,7 @@ def test_structured_group_matches_brute_force_exhaustively_n_le_4():
     count = 0
     for n in range(1, 5):
         for g in all_graphs(n):
-            structured = structured_prism_aut(g)
+            structured = structured_prism_aut(g).group
             brute = brute_prism_group(g)
             assert structured.order == brute.order, g.edges()
             assert {p.image for p in structured.elements} == {
@@ -206,7 +208,7 @@ def test_structured_group_matches_brute_force_exhaustively_n_le_4():
 
 def test_structured_group_matches_brute_force_n_5():
     for g in all_graphs(5):
-        structured = structured_prism_aut(g)
+        structured = structured_prism_aut(g).group
         brute = brute_prism_group(g)
         assert structured.order == brute.order, g.edges()
         assert {p.image for p in structured.elements} == {
@@ -219,7 +221,7 @@ def test_structured_group_matches_brute_force_n_6_slice():
     pairs = list(itertools.combinations(range(6), 2))
     for mask in range(0, 1 << 15, 97):
         g = build_graph(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        structured = structured_prism_aut(g)
+        structured = structured_prism_aut(g).group
         brute = brute_prism_group(g)
         assert structured.order == brute.order, g.edges()
         assert {p.image for p in structured.elements} == {
@@ -228,18 +230,18 @@ def test_structured_group_matches_brute_force_n_6_slice():
 
 
 def test_structured_group_labels():
-    assert structured_prism_aut(cycle_graph(5)).structure_label == "S5"
-    assert structured_prism_aut(path_graph(4)).structure_label == "SemidirectZ2"
+    assert structured_prism_aut(cycle_graph(5)).group.structure_label == "S5"
+    assert structured_prism_aut(path_graph(4)).group.structure_label == "SemidirectZ2"
     assert (
-        structured_prism_aut(family_graph(FamilySpec("A", complete_graph(2)))).structure_label
+        structured_prism_aut(family_graph(FamilySpec("A", complete_graph(2)))).group.structure_label
         == "SemidirectZ2"
     )
-    assert structured_prism_aut(paley_graph(9)).structure_label == "AutUnionAntimorphisms"
-    assert structured_prism_aut(cycle_graph(4)).structure_label == "PlainAut"
+    assert structured_prism_aut(paley_graph(9)).group.structure_label == "AutUnionAntimorphisms"
+    assert structured_prism_aut(cycle_graph(4)).group.structure_label == "PlainAut"
 
 
 def test_structured_group_on_pentagon_is_s5():
-    grp = structured_prism_aut(cycle_graph(5))
+    grp = structured_prism_aut(cycle_graph(5)).group
     assert grp.order == 120
     assert grp.is_transitive()
 
@@ -247,25 +249,30 @@ def test_structured_group_on_pentagon_is_s5():
 # -- ratio classification -------------------------------------------------------
 
 
+def ratio_of(g):
+    antis = find_antimorphisms(g, limit=1)
+    return ratio_class(detect_family(g), antis[0] if antis else None)
+
+
 def test_ratio_values():
-    assert ratio_class(cycle_graph(5)).value == 12
-    assert ratio_class(path_graph(4)).value == 4  # empty inner graph
+    assert ratio_of(cycle_graph(5)).value == 12
+    assert ratio_of(path_graph(4)).value == 4  # empty inner graph
     # family with a self-complementary inner graph
-    assert ratio_class(family_graph(FamilySpec("A", path_graph(4)))).value == 4
+    assert ratio_of(family_graph(FamilySpec("A", path_graph(4)))).value == 4
     # family with a non-self-complementary inner graph
-    assert ratio_class(family_graph(FamilySpec("C5", complete_graph(2)))).value == 2
+    assert ratio_of(family_graph(FamilySpec("C5", complete_graph(2)))).value == 2
     # self-complementary outside the families
-    assert ratio_class(paley_graph(9)).value == 2
-    assert ratio_class(figure_f9(2)).value == 2
+    assert ratio_of(paley_graph(9)).value == 2
+    assert ratio_of(figure_f9(2)).value == 2
     # plain graphs
-    assert ratio_class(cycle_graph(4)).value == 1
-    assert ratio_class(petersen_graph()).value == 1
+    assert ratio_of(cycle_graph(4)).value == 1
+    assert ratio_of(petersen_graph()).value == 1
 
 
 def test_ratio_matches_group_orders_on_all_small_graphs():
     for n in range(1, 5):
         for g in all_graphs(n):
-            r = ratio_class(g)
+            r = ratio_of(g)
             base = automorphism_group(g)
             prism = brute_prism_group(g)
             assert prism.order == r.value * base.order, (g.edges(), r)
@@ -280,31 +287,73 @@ def test_non_family_prism_automorphisms_respect_or_swap_sides():
             assert len(across) in (0, n), (g.edges(), p.image)
 
 
+# -- the one brute-force check ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(5), path_graph(4), paley_graph(9), cycle_graph(4)], ids=repr
+)
+def test_check_accepts_brute_force_and_rejects_a_wrong_ratio_or_group(g):
+    record = structured_prism_aut(g)
+    brute = brute_prism_group(g)
+    record.check(brute)
+    wrong_ratio = dataclasses.replace(
+        record, ratio=dataclasses.replace(record.ratio, value=2 * record.ratio.value)
+    )
+    with pytest.raises(AssertionError, match="ratio"):
+        wrong_ratio.check(brute)
+    # the prism relabelled by one transposition across the sides: same order,
+    # another group
+    n = g.n
+    perm = list(range(2 * n))
+    perm[1], perm[n + 2] = perm[n + 2], perm[1]
+    other = automorphism_group(complementary_prism(g).relabel(perm))
+    assert other.order == brute.order
+    with pytest.raises(AssertionError, match="disagrees with brute force"):
+        record.check(other)
+
+
+def test_check_applies_the_side_dichotomy_outside_the_families():
+    # P4 is a family graph, so its prism has side-mixing automorphisms; a
+    # record that forgets the match must fail the dichotomy
+    record = structured_prism_aut(path_graph(4))
+    with pytest.raises(AssertionError, match="dichotomy"):
+        dataclasses.replace(record, matches=()).check(brute_prism_group(path_graph(4)))
+
+
 # -- prism predicates -----------------------------------------------------------
 
 
 def test_prism_predicates_pentagon():
-    pred = prism_predicates(cycle_graph(5))
+    pred = prism_predicates(structured_prism_aut(cycle_graph(5)))
     assert pred.vertex_transitive            # the Petersen graph
     assert not pred.is_cayley
     assert pred.diameter == 2
 
 
 def test_prism_predicates_paley9():
-    pred = prism_predicates(paley_graph(9))
+    pred = prism_predicates(structured_prism_aut(paley_graph(9)))
     assert pred.vertex_transitive
     assert not pred.is_cayley
     assert pred.diameter == 2
 
 
 def test_prism_predicates_path():
-    pred = prism_predicates(path_graph(4))
+    pred = prism_predicates(structured_prism_aut(path_graph(4)))
+    assert not pred.vertex_transitive
+    assert pred.diameter == 3
+
+
+def test_prism_predicates_vertex_transitive_base_that_is_not_self_complementary():
+    # both halves of the characterization matter: C6 is vertex-transitive,
+    # but without an antimorphism its prism is not
+    pred = prism_predicates(structured_prism_aut(cycle_graph(6)))
     assert not pred.vertex_transitive
     assert pred.diameter == 3
 
 
 def test_prism_predicates_k1():
-    pred = prism_predicates(complete_graph(1))
+    pred = prism_predicates(structured_prism_aut(complete_graph(1)))
     assert pred.vertex_transitive and pred.is_cayley
     assert pred.diameter == 1
 
