@@ -208,6 +208,15 @@ def special_automorphism(g: Graph, match: FamilyMatch | None = None) -> Permutat
         if not matches:
             raise ValueError("graph is not in either family")
         match = matches[0]
+    perm = _special_map(g, match)
+    prism = complementary_prism(g)
+    if not is_isomorphism_map(prism, prism, perm.image):
+        raise AssertionError("special map failed automorphism verification")
+    return perm
+
+
+def _special_map(g: Graph, match: FamilyMatch) -> Permutation:
+    """The table of s, unverified; callers check it against the prism."""
     n = g.n
     y, v, u, z = match.outer
     image = list(range(2 * n))
@@ -230,11 +239,7 @@ def special_automorphism(g: Graph, match: FamilyMatch | None = None) -> Permutat
         setmap(u, 2, z, 1)
         setmap(z, 2, y, 2)
 
-    perm = Permutation(tuple(image))
-    prism = complementary_prism(g)
-    if not is_isomorphism_map(prism, prism, perm.image):
-        raise AssertionError("special map failed automorphism verification")
-    return perm
+    return Permutation(tuple(image))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +380,7 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
         if anti is not None:
             generators.append(_swap_lift(anti.image, n))
         if matches:
-            generators.append(special_automorphism(g, matches[0]))
+            generators.append(_special_map(g, matches[0]))
 
     for p in generators:
         if not is_isomorphism_map(prism, prism, p.image):

@@ -264,6 +264,16 @@ def test_hamilton_budget_unknown(capsys):
     assert report["status"] == "unknown"
 
 
+def test_hamilton_constructions_share_one_budget(capsys):
+    # 500 nodes cover any one of the four searches behind --constructions
+    # on Paley(9) (497 at most), but not all four together (913)
+    report = run_json(
+        capsys,
+        ["hamilton", "--name", "paley:9", "--constructions", "--budget-nodes", "500"],
+    )
+    assert report["status"] == "unknown"
+
+
 def test_invariants_command(capsys):
     report = run_json(capsys, ["invariants", "--name", "petersen"])
     assert (report["alpha"], report["omega"], report["chi"], report["kappa"]) == (4, 2, 3, 3)

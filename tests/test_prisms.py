@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismatic import prisms
 from prismatic.families import FamilySpec, family_graph, figure_f9, paley_graph, petersen_graph
 from prismatic.graphs import (
     build_graph,
@@ -177,6 +178,29 @@ def test_special_automorphism_is_verified_involution(kind, idx):
     n = g.n
     moved_across = [v for v in range(n) if s.image[v] >= n]
     assert moved_across and len(moved_across) < n
+
+
+@pytest.mark.parametrize("kind", ["C5", "A"])
+def test_structured_group_verifies_each_generator_once(kind, monkeypatch):
+    g = family_graph(FamilySpec(kind, path_graph(3)))
+    s = special_automorphism(g)
+    checked, prisms_built = [], []
+
+    def counting_check(g1, g2, image):
+        checked.append(tuple(image))
+        return is_isomorphism_map(g1, g2, image)
+
+    def counting_prism(base):
+        prisms_built.append(base)
+        return complementary_prism(base)
+
+    monkeypatch.setattr(prisms, "is_isomorphism_map", counting_check)
+    monkeypatch.setattr(prisms, "complementary_prism", counting_prism)
+    structure = structured_prism_aut(g)
+    assert len(checked) == len(set(checked))
+    assert s.image in checked
+    assert {p.image for p in structure.group.generators} <= set(checked)
+    assert len(prisms_built) == 1
 
 
 def test_special_automorphism_rejects_non_family():

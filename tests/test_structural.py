@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from prismatic.graphs import (
     path_graph,
     star_graph,
 )
-from prismatic.morphisms import BudgetExhausted
+from prismatic.morphisms import BudgetExhausted, SearchBudget
 from prismatic.structural import (
     CHEEGER_BRUTE_MAX_N,
     VERTEX_CONNECTIVITY_BRUTE_MAX_N,
+    _edge_boundary,
+    _report_for,
     bound_checks,
     cheeger_brute_force,
     cheeger_closed_form,
@@ -161,7 +164,7 @@ def test_cheeger_witness_ratio_matches_value():
 
 
 def test_cheeger_closed_form_agrees_with_brute_force():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for g in all_graphs(n):
             closed = cheeger_closed_form(g)
             brute = cheeger_brute_force(complementary_prism(g))
@@ -176,6 +179,64 @@ def test_cheeger_brute_on_plain_graphs():
     assert rep.value == Fraction(2, 3)
     S, T = rep.witness
     assert 1 <= len(S) <= len(T)
+
+
+def reference_cheeger_brute_force(g):
+    """The pure-Python scan that the subset DP replaced.
+
+    It visits the masks in ascending order and keeps the first one whose
+    ratio is strictly smaller, so its witness is the smallest mask that
+    attains the minimum.  Kept here as the slow reference: the kernel must
+    return the same report, witness included.
+    """
+    n = g.n
+    half = n // 2
+    best_e, best_s, best_mask = None, None, None
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size > half:
+            continue
+        e = _edge_boundary(g, mask)
+        # compare e/size < best_e/best_s by cross multiplication
+        if best_e is None or e * best_s < best_e * size:
+            best_e, best_s, best_mask = e, size, mask
+    return _report_for(g, best_mask, "brute_force")
+
+
+def random_graph(n, rng):
+    return build_graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+
+
+def test_cheeger_kernel_matches_reference_on_small_prisms():
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            prism = complementary_prism(g)
+            assert cheeger_brute_force(prism) == reference_cheeger_brute_force(prism), g.adj
+
+
+def test_cheeger_kernel_matches_reference_on_random_graphs():
+    rng = random.Random(20211018)
+    for n in range(2, 15):
+        for _ in range(3):
+            g = random_graph(n, rng)
+            assert cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10])
+def test_cheeger_kernel_matches_reference_on_extreme_graphs(n):
+    for g in (empty_graph(n), complete_graph(n), star_graph(n)):
+        assert cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
+
+
+def test_cheeger_value_invariant_under_relabelling():
+    rng = random.Random(8)
+    for n in range(2, 13):
+        g = random_graph(n, rng)
+        value = cheeger_brute_force(g).value
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert cheeger_brute_force(g.relabel(perm)).value == value, (g.adj, perm)
 
 
 def test_cheeger_brute_input_validation():
@@ -262,6 +323,24 @@ def test_prism_ham_all_pairs_paley9():
         assert sorted(path) == list(range(18))
         for a, b in zip(path, path[1:]):
             assert prism.has_edge(a, b)
+
+
+def test_prism_ham_constructions_share_one_budget():
+    g = paley_graph(9)
+    inner = []
+    for h in (g, g.complement()):
+        for mode in ("cycle", "connected"):
+            spent = SearchBudget()
+            hamiltonian(h, mode, budget=spent)
+            inner.append(spent.nodes)
+    total = SearchBudget()
+    full = prism_ham_constructions(g, budget=total)
+    assert full.ham_connected is not None
+    assert sum(inner) == total.nodes and max(inner) < total.nodes - 1
+    for short in (total.nodes - 1, SearchBudget(total.nodes - 1)):
+        with pytest.raises(BudgetExhausted):
+            prism_ham_constructions(g, budget=short)
+    assert prism_ham_constructions(g, budget=total.nodes) == full
 
 
 def test_prism_ham_single_vertex():
