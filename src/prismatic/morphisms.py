@@ -7,7 +7,8 @@ This module provides
 * homomorphism search (forward checking plus incrementally maintained arc
   consistency, optional partial-map constraints, optional node budget),
 * core computation by retraction descent: repeatedly find a proper
-  endomorphism, convert it into a retraction, restrict, repeat,
+  endomorphism (one search per automorphism orbit of the retract),
+  convert it into a retraction, restrict, repeat,
 * permutation groups as generators plus a Schreier-Sims stabilizer chain
   (order, orbits, membership), automorphism group generators by
   orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
@@ -494,6 +495,14 @@ def compute_core(
     bound: a homomorphism cannot shrink the clique number), the retract is
     a core.
 
+    Each step searches only the least vertex of each orbit of Aut(retract),
+    in ascending order.  If an automorphism sigma sends v to w, then
+    f -> sigma f turns a map retract -> retract - v into one into
+    retract - w, and sigma restricts to an isomorphism of the two targets,
+    so one search (and one clique bound) decides the whole orbit.  Every
+    earlier orbit fails in full, so the first vertex that succeeds is the
+    one a scan of every vertex would pick, and the report is the same.
+
     ``seed_endomorphisms`` may hold known endomorphisms of g (image
     arrays); they are folded in first, which can shrink the graph before
     any searching happens.  If a given node budget runs out the report has
@@ -524,8 +533,10 @@ def compute_core(
         m = sub.n
         omega = len(max_clique(sub)) if m <= 60 else None
         progressed = False
+        # orbits_of lists each orbit sorted, in ascending order of its least vertex
+        orbits = orbits_of(automorphism_generators(sub)[0], m)
         try:
-            for pos in range(m):
+            for pos in (orbit[0] for orbit in orbits):
                 keep = [i for i in range(m) if i != pos]
                 target = sub.induced(keep)
                 if omega is not None and len(max_clique(target)) < omega:

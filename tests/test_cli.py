@@ -137,6 +137,17 @@ def test_core_of_pentagon_prism(capsys):
     assert report["is_core_itself"] is True
 
 
+def test_core_of_paley5_prism_needs_one_search(capsys):
+    # the prism (the Petersen graph) is vertex-transitive: one failing
+    # search of 22 nodes proves it a core, where one per vertex needs 10 x 22
+    argv = ["core", "--prism", "--name", "paley:5", "--budget-nodes"]
+    report = run_json(capsys, argv + ["22"])
+    assert report["status"] == "ok"
+    assert report["is_core_itself"] is True
+    assert report["case"] == "I_core"
+    assert run_json(capsys, argv + ["21"])["status"] == "unknown"
+
+
 def test_core_of_plain_graph(capsys):
     report = run_json(capsys, ["core", "--name", "cycle:6"])
     assert report["status"] == "ok"

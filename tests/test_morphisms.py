@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from prismatic.families import kneser_graph, paley_graph, petersen_graph
+from prismatic.families import figure_f9, kneser_graph, paley_graph, petersen_graph
 from prismatic.graphs import (
     bits,
     build_graph,
@@ -17,6 +17,7 @@ from prismatic.graphs import (
 )
 from prismatic.morphisms import (
     BudgetExhausted,
+    CoreReport,
     Permutation,
     SearchBudget,
     VertexMap,
@@ -38,7 +39,8 @@ from prismatic.morphisms import (
     verify_retraction,
     wreath_map,
 )
-from prismatic.morphisms import _branch_vertex
+from prismatic.morphisms import _as_budget, _branch_vertex, _stabilized_retraction
+from prismatic.structural import max_clique
 
 # -- permutation algebra ------------------------------------------------------
 
@@ -352,11 +354,16 @@ def test_branch_vertex_handles_candidate_sets_wider_than_the_source():
 
 
 def test_search_budget_counts_nodes_without_a_limit():
+    prism = complementary_prism(paley_graph(9))
     budget = SearchBudget()
-    report = compute_core(complementary_prism(paley_graph(9)), budget=budget)
+    report = reference_compute_core(prism, budget=budget)
     assert report.is_core_itself
     # 18 exhaustive descent searches, each failing
     assert budget.nodes == 23220 and budget.remaining is None
+    # the prism is vertex-transitive: one orbit, so one failing search
+    budget = SearchBudget()
+    assert compute_core(prism, budget=budget) == report
+    assert budget.nodes == 1290 and budget.remaining is None
 
 
 # -- retractions and cores ----------------------------------------------------
@@ -452,6 +459,100 @@ def test_core_budget_runs_out_gracefully():
     rep = compute_core(petersen_graph(), budget=10)
     assert rep.status == "unknown"
     assert verify_retraction(petersen_graph(), rep.retraction, rep.core_vertices)
+
+
+def reference_compute_core(g, budget=None, seed_endomorphisms=None):
+    """The per-vertex descent that ``compute_core`` replaced.
+
+    Each step searches for a map sub -> sub - v for every vertex v of the
+    current retract in ascending order, with no orbit pruning.  Kept here
+    as the slow reference: the orbit-pruned descent must return the same
+    report.
+    """
+    n = g.n
+    budget = _as_budget(budget)
+    psi = list(range(n))
+    current = list(range(n))
+
+    def fold_full(endo):
+        nonlocal psi, current
+        image, rho = _stabilized_retraction(g, endo)
+        psi = [rho[psi[x]] for x in range(n)]
+        current = image
+
+    for seed in seed_endomorphisms or []:
+        seed = list(seed.image if isinstance(seed, VertexMap) else seed)
+        assert is_homomorphism(g, g, seed)
+        fold_full([seed[psi[x]] for x in range(n)])
+
+    status = "ok"
+    while True:
+        sub = g.induced(current)
+        m = sub.n
+        omega = len(max_clique(sub)) if m <= 60 else None
+        progressed = False
+        try:
+            for pos in range(m):
+                keep = [i for i in range(m) if i != pos]
+                target = sub.induced(keep)
+                if omega is not None and len(max_clique(target)) < omega:
+                    continue
+                found = find_homomorphism(sub, target, budget=budget)
+                if found is None:
+                    continue
+                endo_global = {current[i]: current[keep[x]] for i, x in enumerate(found.image)}
+                fold_full([endo_global[psi[x]] for x in range(n)])
+                progressed = True
+                break
+        except BudgetExhausted:
+            status = "unknown"
+        if status == "unknown" or not progressed:
+            break
+
+    retraction = VertexMap(n, n, tuple(psi))
+    assert verify_retraction(g, retraction, current)
+    return CoreReport(
+        core_vertices=tuple(current),
+        retraction=retraction,
+        is_core_itself=(status == "ok" and len(current) == n),
+        status=status,
+    )
+
+
+def random_endomorphism(rng, g):
+    """An endomorphism of g extending a random partial map, or None when
+    that partial map has no extension."""
+    found = find_homomorphism(g, g, random_constraints(rng, g, g))
+    return found and found.image
+
+
+def assert_same_core(g, seeds=None):
+    got = compute_core(g, seed_endomorphisms=seeds)
+    want = reference_compute_core(g, seed_endomorphisms=seeds)
+    assert got.core_vertices == want.core_vertices, (g.adj, seeds)
+    assert got.retraction.image == want.retraction.image, (g.adj, seeds)
+    assert got.is_core_itself == want.is_core_itself
+    assert got.status == want.status == "ok"
+
+
+def core_cases():
+    rng = random.Random(902)
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(1, 8))
+        yield g, random_endomorphism(rng, g)
+    for _ in range(40):
+        g = complementary_prism(random_graph(rng, rng.randint(1, 5)))
+        yield g, random_endomorphism(rng, g)
+    for index in (1, 2, 3, 4):
+        g = complementary_prism(figure_f9(index))
+        yield g, random_endomorphism(rng, g)
+
+
+def test_orbit_pruned_core_matches_the_per_vertex_descent():
+    for g, endo in core_cases():
+        assert_same_core(g)
+        if endo is not None:
+            assert_same_core(g, [endo])
 
 
 # -- groups -------------------------------------------------------------------
