@@ -135,62 +135,91 @@ def chromatic_number(g: Graph) -> tuple[int, list[int], bool]:
     return ub, coloring, True
 
 
-def _maxflow_vertex_disjoint(g: Graph, s: int, t: int) -> tuple[int, set[int]]:
-    """Number of internally vertex-disjoint s-t paths and a minimum s-t
-    vertex cut, via unit-capacity max flow on the split graph.
+def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """Flat arc lists ``(head, cap, arcs_of)`` of the split graph of g.
 
-    Nodes 2v (in) and 2v+1 (out); v_in -> v_out capacity 1 except at s, t
-    where it is effectively infinite; each edge uv gives u_out -> v_in and
-    v_out -> u_in of large capacity.
+    Node 2v is the in-node of v and 2v + 1 its out-node.  Arc e runs into
+    ``head[e]`` with capacity ``cap[e]``, and arc ``e ^ 1`` is its reverse;
+    ``arcs_of[a]`` lists the arcs leaving node a.  v_in -> v_out has capacity
+    1, and each edge uv gives u_out -> v_in and v_out -> u_in of capacity n,
+    more than any flow.  No augmenting path from s_out to t_in passes
+    through s_in or t_out, so the unit capacities at s and t do not bound
+    the flow, and one network serves every pair.
     """
     n = g.n
-    INF = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, list[int]] = {}
+    head: list[int] = []
+    cap: list[int] = []
+    arcs_of: list[list[int]] = [[] for _ in range(2 * n)]
 
     def add(a: int, b: int, c: int):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+        arcs_of[a].append(len(head))
+        head.append(b)
+        cap.append(c)
+        arcs_of[b].append(len(head))
+        head.append(a)
+        cap.append(0)
 
     for v in range(n):
-        add(2 * v, 2 * v + 1, INF if v in (s, t) else 1)
+        add(2 * v, 2 * v + 1, 1)
     for v, u in g.edges():
-        add(2 * v + 1, 2 * u, INF)
-        add(2 * u + 1, 2 * v, INF)
+        add(2 * v + 1, 2 * u, n)
+        add(2 * u + 1, 2 * v, n)
+    return head, cap, arcs_of
+
+
+def _maxflow_vertex_disjoint(
+    network: tuple[list[int], list[int], list[list[int]]], s: int, t: int, limit: int
+) -> tuple[int, set[int] | None]:
+    """Up to ``limit`` internally vertex-disjoint paths between non-adjacent s, t.
+
+    ``network`` is ``_split_network(g)``; each call works on a fresh copy of
+    its capacities.  Returns ``(limit, None)`` as soon as ``limit`` augmenting
+    paths are found.  Otherwise the flow is maximum, and the second item is
+    the minimum s-t vertex cut read off the final residual: the vertices whose
+    in-node is reachable from s and whose out-node is not.
+    """
+    head, base_cap, arcs_of = network
+    cap = base_cap[:]
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while True:
-        parent = {source: source}
+    while flow < limit:
+        via = [-1] * len(arcs_of)  # the arc that first reached each node, or -1
+        via[source] = len(head)
         queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in adj.get(a, ()):
-                    if b not in parent and cap[(a, b)] > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            break
+        for a in queue:
+            for e in arcs_of[a]:
+                if cap[e]:
+                    b = head[e]
+                    if via[b] < 0:
+                        via[b] = e
+                        queue.append(b)
+            if via[sink] >= 0:
+                break
+        else:
+            # s_out is reached and t_in is not, so neither end is in the cut
+            cut = {v for v in range(len(arcs_of) // 2) if via[2 * v] >= 0 and via[2 * v + 1] < 0}
+            return flow, cut
         b = sink
         while b != source:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
+            e = via[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
         flow += 1
-    reach = set(parent)
-    cut = {v for v in range(n) if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach}
-    return flow, cut
+    return flow, None
 
 
 def vertex_connectivity(g: Graph) -> tuple[int, tuple[int, ...] | None]:
     """(kappa, minimum separating set or None for complete graphs).
 
-    Max-flow over every non-adjacent pair; complete graphs have kappa
-    n - 1 by convention and no separating witness.
+    Esfahanian-Hakimi: take v, the least vertex of minimum degree delta, so
+    kappa <= delta with witness N(v).  A minimum separator that misses v
+    separates v from some non-neighbour w; one that contains v, being
+    minimal, separates two non-adjacent neighbours of v.  So flows for those
+    pairs alone, at most (n - delta - 1) + C(delta, 2), find kappa.  Each flow
+    stops once it reaches the running minimum (Even), as it can then lower
+    nothing.  Complete graphs have kappa n - 1 by convention and no
+    separating witness.
     """
     n = g.n
     if n <= 1:
@@ -199,16 +228,19 @@ def vertex_connectivity(g: Graph) -> tuple[int, tuple[int, ...] | None]:
         return n - 1, None
     if not g.is_connected():
         return 0, ()
-    best = None
-    best_cut: set[int] = set()
-    for s in range(n):
-        for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            f, cut = _maxflow_vertex_disjoint(g, s, t)
-            if best is None or f < best:
-                best, best_cut = f, cut
-    assert best is not None
+    degrees = g.degrees()
+    best = min(degrees)
+    v = degrees.index(best)
+    nbrs = g.neighbors(v)
+    best_cut = set(nbrs)
+    pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
+    pairs += [(x, y) for x, y in combinations(nbrs, 2) if not g.has_edge(x, y)]
+    network = _split_network(g)
+    for s, t in pairs:
+        f, cut = _maxflow_vertex_disjoint(network, s, t, best)
+        if cut is not None:
+            best, best_cut = f, cut
+    assert len(best_cut) == best, "cut witness has the wrong size"
     removed = g.induced(sorted(set(range(n)) - best_cut))
     assert not removed.is_connected(), "cut witness failed to disconnect"
     return best, tuple(sorted(best_cut))

@@ -298,8 +298,9 @@ def reference_find_homomorphism(g1, g2, constraints=None, budget=None):
 
 
 def random_graph(rng, n):
-    p = rng.choice((0.2, 0.4, 0.6, 0.8))
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    density = rng.uniform(0.1, 0.9)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return build_graph(n, edges)
 
 
 def random_constraints(rng, g1, g2):
@@ -628,12 +629,6 @@ def test_close_under_composition_generates_s3():
 def test_group_tools_dedupes():
     grp = group_tools([Permutation.identity(3)] * 4, label="PlainAut")
     assert grp.order == 1 and grp.structure_label == "PlainAut"
-
-
-def random_graph(rng, n):
-    density = rng.uniform(0.1, 0.9)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
-    return build_graph(n, edges)
 
 
 def test_automorphism_group_matches_full_enumeration_on_random_graphs():

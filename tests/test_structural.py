@@ -15,6 +15,7 @@ from prismatic.graphs import (
     path_graph,
     star_graph,
 )
+from prismatic import structural
 from prismatic.morphisms import BudgetExhausted, SearchBudget
 from prismatic.structural import (
     CHEEGER_BRUTE_MAX_N,
@@ -129,7 +130,7 @@ def test_vertex_connectivity_cut_disconnects():
 
 
 def test_vertex_connectivity_agrees_with_brute_force():
-    for n in range(2, 5):
+    for n in range(2, 6):
         for g in all_graphs(n):
             assert vertex_connectivity(g)[0] == vertex_connectivity_brute(g)
     # deterministic slice of the six-vertex graphs
@@ -137,6 +138,139 @@ def test_vertex_connectivity_agrees_with_brute_force():
     for mask in range(0, 1 << 15, 531):
         g = build_graph(6, [p for i, p in enumerate(pairs) if mask >> i & 1])
         assert vertex_connectivity(g)[0] == vertex_connectivity_brute(g), mask
+
+
+def _reference_maxflow_vertex_disjoint(g, s, t):
+    """Number of internally vertex-disjoint s-t paths and a minimum s-t
+    vertex cut, via unit-capacity max flow on the split graph.
+
+    Nodes 2v (in) and 2v+1 (out); v_in -> v_out capacity 1 except at s, t
+    where it is effectively infinite; each edge uv gives u_out -> v_in and
+    v_out -> u_in of large capacity.
+    """
+    n = g.n
+    INF = n + 1
+    cap: dict[tuple[int, int], int] = {}
+    adj: dict[int, list[int]] = {}
+
+    def add(a: int, b: int, c: int):
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        cap.setdefault((b, a), 0)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+
+    for v in range(n):
+        add(2 * v, 2 * v + 1, INF if v in (s, t) else 1)
+    for v, u in g.edges():
+        add(2 * v + 1, 2 * u, INF)
+        add(2 * u + 1, 2 * v, INF)
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while True:
+        parent = {source: source}
+        queue = [source]
+        while queue and sink not in parent:
+            nxt = []
+            for a in queue:
+                for b in adj.get(a, ()):
+                    if b not in parent and cap[(a, b)] > 0:
+                        parent[b] = a
+                        nxt.append(b)
+            queue = nxt
+        if sink not in parent:
+            break
+        b = sink
+        while b != source:
+            a = parent[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+    reach = set(parent)
+    cut = {v for v in range(n) if v not in (s, t) and 2 * v in reach and 2 * v + 1 not in reach}
+    return flow, cut
+
+
+def reference_vertex_connectivity(g):
+    """The all-pairs max flow that the Esfahanian-Hakimi routine replaced.
+
+    Max-flow over every non-adjacent pair; complete graphs have kappa
+    n - 1 by convention and no separating witness.  Kept here as the slow
+    reference for kappa.
+    """
+    n = g.n
+    if n <= 1:
+        return 0, None
+    if g.edge_count() == n * (n - 1) // 2:
+        return n - 1, None
+    if not g.is_connected():
+        return 0, ()
+    best = None
+    best_cut: set[int] = set()
+    for s in range(n):
+        for t in range(s + 1, n):
+            if g.has_edge(s, t):
+                continue
+            f, cut = _reference_maxflow_vertex_disjoint(g, s, t)
+            if best is None or f < best:
+                best, best_cut = f, cut
+    assert best is not None
+    removed = g.induced(sorted(set(range(n)) - best_cut))
+    assert not removed.is_connected(), "cut witness failed to disconnect"
+    return best, tuple(sorted(best_cut))
+
+
+def _connectivity_cases():
+    rng = random.Random(19841975)
+
+    def gnp(n):
+        p = rng.uniform(0.1, 0.9)
+        return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+    graphs = [gnp(rng.randint(2, 14)) for _ in range(160)]
+    graphs += [complementary_prism(gnp(rng.randint(1, 7))) for _ in range(40)]
+    # the complements are the graphs bound_checks hands to vertex_connectivity
+    graphs += [g.complement() for g in graphs]
+    graphs += [complementary_prism(paley_graph(q)) for q in (5, 9, 13, 17)]
+    graphs += [figure_f9(i) for i in range(1, 5)]
+    return graphs
+
+
+def test_vertex_connectivity_matches_all_pairs_reference():
+    for g in _connectivity_cases():
+        kappa, cut = vertex_connectivity(g)
+        assert kappa == reference_vertex_connectivity(g)[0], g.adj
+        if cut is None:
+            assert g.edge_count() == g.n * (g.n - 1) // 2, g.adj
+            continue
+        assert len(cut) == kappa, g.adj
+        assert not g.induced([v for v in range(g.n) if v not in cut]).is_connected(), g.adj
+
+
+def test_vertex_connectivity_finds_a_cut_through_the_min_degree_vertex():
+    # two disjoint K6 joined only through vertex 12, adjacent to two
+    # vertices of each: delta = 4 at 12, and the unique minimum cut holds it,
+    # so only a flow between two of its neighbours can find kappa = 1
+    edges = [e for part in (range(6), range(6, 12)) for e in itertools.combinations(part, 2)]
+    edges += [(0, 12), (1, 12), (6, 12), (7, 12)]
+    g = build_graph(13, edges)
+    assert min(g.degrees()) == g.degree(12) == 4
+    assert vertex_connectivity(g) == (1, (12,))
+
+
+def test_vertex_connectivity_runs_esfahanian_hakimi_flow_count(monkeypatch):
+    g = complementary_prism(paley_graph(17))
+    calls = []
+    flow = structural._maxflow_vertex_disjoint
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(structural, "_maxflow_vertex_disjoint", counted)
+    assert vertex_connectivity(g)[0] == 9
+    # (n - delta - 1) + C(delta, 2) with n = 34, delta = 9; all pairs took 408
+    assert len(calls) <= 24 + 36
 
 
 def test_vertex_connectivity_brute_rejects_large_input():
