@@ -13,13 +13,11 @@ from .graphs import (
     complementary_prism,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     from_adjacency,
     lexicographic_product,
     path_graph,
     prism_index,
-    prism_vertex,
     star_graph,
 )
 from .graphio import load_fixture, parse_graph6, write_dot, write_graph6
@@ -91,9 +89,7 @@ from .spectral import (
     SrgParams,
     WalkRegularityWitness,
     eigenvalue_bound_checks,
-    is_one_walk_regular,
     numeric_spectrum,
-    prism_extreme_eigenvalues,
     prism_spectrum_closed_form,
     srg_analysis,
     theta_bounds,

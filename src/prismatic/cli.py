@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -112,18 +111,6 @@ def load_graph(args) -> Graph:
         raise InputError(f"bad graph6 on stdin: {e}") from e
 
 
-def budget_from(args) -> int | None:
-    if getattr(args, "budget_nodes", None) is not None:
-        return args.budget_nodes
-    env = os.environ.get("PRISMATIC_BUDGET")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError as e:
-        raise InputError(f"PRISMATIC_BUDGET must be an integer, got {env!r}") from e
-
-
 def detect_prism_layout(g: Graph) -> Graph | None:
     """Recognize the standard prism labeling (base, complement, matching).
 
@@ -186,7 +173,7 @@ def cmd_aut(args) -> int:
             "base_aut_order": structure.base_group.order,
             "ratio": structure.ratio.value,
             "ratio_reason": structure.ratio.reason,
-            "structure": structure.group.structure_label,
+            "structure": structure.ratio.structure_label,
         }
     emit(report)
     return 0
@@ -221,11 +208,7 @@ def cmd_core(args) -> int:
         base = g
         with precondition():  # the null graph has no prism
             g = complementary_prism(base)
-    try:
-        rep = compute_core(g, budget=budget_from(args))
-    except BudgetExhausted:
-        emit({"command": "core", "status": "unknown", "note": "budget exhausted before any retraction"})
-        return 0
+    rep = compute_core(g, budget=args.budget_nodes)
     report = {
         "command": "core",
         "n": g.n,
@@ -262,7 +245,7 @@ def cmd_classify(args) -> int:
         ],
         "self_complementary": structure.antimorphism is not None,
         "prism_aut_order": structure.group.order,
-        "prism_aut_structure": structure.group.structure_label,
+        "prism_aut_structure": structure.ratio.structure_label,
         "ratio": structure.ratio.value,
         "ratio_reason": structure.ratio.reason,
         "prism_vertex_transitive": preds.vertex_transitive,
@@ -369,7 +352,7 @@ def cmd_theta(args) -> int:
 def cmd_hamilton(args) -> int:
     g = load_graph(args)
     report = {"command": "hamilton", "n": g.n, "mode": args.mode}
-    budget = budget_from(args)
+    budget = args.budget_nodes
     try:
         if args.constructions:
             with precondition():  # the null graph has no prism
@@ -588,11 +571,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g6", help="graph6 string (otherwise read from stdin)")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=None, help="search node budget")
-    p.add_argument("--json", action="store_true", help="JSON report even for graph-emitting commands")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use."""
@@ -605,17 +583,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         _add_input_flags(p)
-        _add_common_flags(p)
         p.set_defaults(fn=fn)
         return p
 
-    add("construct", cmd_construct, help="emit a named graph as graph6")
-    add("prism", cmd_prism, help="emit the complementary prism as graph6")
+    p = add("construct", cmd_construct, help="emit a named graph as graph6")
+    p.add_argument("--json", action="store_true", help="JSON report instead of bare graph6")
+    p = add("prism", cmd_prism, help="emit the complementary prism as graph6")
+    p.add_argument("--json", action="store_true", help="JSON report instead of bare graph6")
     add("aut", cmd_aut, help="automorphism group; recognizes prism labelings")
     p = add("antimorph", cmd_antimorph, help="antimorphisms (isomorphisms onto the complement)")
     p.add_argument("--limit", type=int, default=None, help="stop after this many")
     p = add("core", cmd_core, help="compute the core by retraction descent")
     p.add_argument("--prism", action="store_true", help="take the prism of the input first")
+    p.add_argument("--budget-nodes", type=int, help="search node budget")
     add("classify", cmd_classify, help="family membership, ratio class, prism predicates")
     p = add("cheeger", cmd_cheeger, help="Cheeger number (closed form for prisms)")
     p.add_argument("--prism", action="store_true", help="closed form for the prism of the input")
@@ -630,14 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoints", help="U,V for path_between")
     p.add_argument("--constructions", action="store_true",
                    help="spliced prism Hamiltonian constructions for the input base graph")
+    p.add_argument("--budget-nodes", type=int, help="search node budget")
     add("invariants", cmd_invariants, help="alpha, omega, chi, kappa with witnesses")
     p = sub.add_parser("verify-fixture", help="run a fixture's verification battery")
     p.add_argument("fixture", help="exa1, mysterious505, petersen, or f9")
-    _add_common_flags(p)
     p.set_defaults(fn=cmd_verify_fixture)
     p = sub.add_parser("sweep", help="cross-oracle battery over all small graphs")
     p.add_argument("--max-n", type=int, default=5)
-    _add_common_flags(p)
     p.set_defaults(fn=cmd_sweep)
     return parser
 

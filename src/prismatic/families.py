@@ -83,15 +83,6 @@ def apex_pair_graph(inner: Graph) -> Graph:
     return family_graph(FamilySpec("A", inner))
 
 
-def family_outer_vertices(spec_or_graph) -> tuple[int, int, int, int]:
-    """Indices of y, v, u, z in the canonical family layout."""
-    if isinstance(spec_or_graph, FamilySpec):
-        L = spec_or_graph.inner.n
-    else:
-        L = spec_or_graph.n - 4
-    return (L, L + 1, L + 2, L + 3)
-
-
 # ---------------------------------------------------------------------------
 # Paley, Kneser and Cayley constructions.
 # ---------------------------------------------------------------------------

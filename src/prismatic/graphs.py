@@ -112,10 +112,6 @@ class Graph:
             adj[perm[v]] = row
         return Graph(self.n, adj, name)
 
-    def adjacency_rows(self) -> list[list[int]]:
-        """Dense 0/1 matrix as nested lists (for numeric code and fixtures)."""
-        return [[(row >> u) & 1 for u in range(self.n)] for row in self.adj]
-
     # -- traversal ----------------------------------------------------------
 
     def component_mask(self, start: int) -> int:
@@ -229,11 +225,6 @@ def star_graph(n: int) -> Graph:
     return build_graph(n, [(0, i) for i in range(1, n)], "K1,%d" % (n - 1))
 
 
-def disjoint_union(g1: Graph, g2: Graph, name: str = "") -> Graph:
-    adj = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return Graph(g1.n + g2.n, adj, name)
-
-
 def complementary_prism(g: Graph, name: str = "") -> Graph:
     """Disjoint union of g and its complement plus the perfect matching.
 
@@ -256,11 +247,6 @@ def prism_index(v: int, side: int, n: int) -> int:
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     return v if side == 1 else n + v
-
-
-def prism_vertex(i: int, n: int) -> tuple[int, int]:
-    """Inverse of prism_index: prism index -> (base vertex, side)."""
-    return (i, 1) if i < n else (i - n, 2)
 
 
 def lexicographic_product(g1: Graph, g2: Graph, name: str = "") -> Graph:

@@ -64,6 +64,18 @@ def _as_budget(budget) -> SearchBudget:
 # ---------------------------------------------------------------------------
 
 
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a after b, on image tuples."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, x in enumerate(a):
+        inv[x] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A permutation of {0..n-1} stored as an image tuple."""
@@ -87,15 +99,12 @@ class Permutation:
         """self after other: (self * other)(x) = self(other(x))."""
         if other.n != self.n:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.image[x] for x in other.image))
+        return Permutation(_compose(self.image, other.image))
 
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, x in enumerate(self.image):
-            inv[x] = i
-        return Permutation(tuple(inv))
+        return Permutation(_invert(self.image))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.n
@@ -575,18 +584,6 @@ def compute_core(
 ELEMENT_LIST_MAX = 100_000
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a after b, on image tuples."""
-    return tuple(map(a.__getitem__, b))
-
-
-def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
-
-
 @dataclass(frozen=True)
 class GroupDescription:
     """A permutation group on {0..n-1}, given by generators and a stabilizer
@@ -595,16 +592,12 @@ class GroupDescription:
     ``base`` is a base (b_0, ..., b_{k-1}) and ``transversals[i]`` maps each
     point of the orbit of b_i under the pointwise stabilizer of b_0..b_{i-1}
     to a pair (element sending b_i there, its inverse), so ``order`` is the
-    product of the transversal sizes.  ``structure_label`` is one of
-    PlainAut, AutUnionAntimorphisms, SemidirectZ2, S5, Unlabeled -- a
-    human-readable tag for how the group was assembled, not a certified
-    abstract-group identification.
+    product of the transversal sizes.
     """
 
     generators: tuple[Permutation, ...]
     order: int
     orbits: tuple[tuple[int, ...], ...]
-    structure_label: str
     degree: int
     base: tuple[int, ...]
     transversals: tuple[dict, ...] = field(repr=False, compare=False)
@@ -738,7 +731,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int):
     return tuple(base), tuple(trans)
 
 
-def group_tools(generators, label: str = "Unlabeled", degree: int | None = None) -> GroupDescription:
+def group_tools(generators, degree: int | None = None) -> GroupDescription:
     """The group generated by ``generators``, with its stabilizer chain.
 
     Identity generators and duplicates are dropped.  ``degree`` is needed
@@ -761,7 +754,6 @@ def group_tools(generators, label: str = "Unlabeled", degree: int | None = None)
         generators=gens,
         order=order,
         orbits=orbits_of(gens, degree),
-        structure_label=label,
         degree=degree,
         base=base,
         transversals=transversals,
@@ -824,12 +816,12 @@ def automorphism_generators(g: Graph) -> tuple[list[Permutation], int]:
     return gens, order
 
 
-def automorphism_group(g: Graph, label: str = "PlainAut") -> GroupDescription:
+def automorphism_group(g: Graph) -> GroupDescription:
     """The full automorphism group of g: the generators found by
     ``automorphism_generators`` with their Schreier-Sims chain, whose order
     must equal the search's product of orbit sizes."""
     gens, order = automorphism_generators(g)
-    group = group_tools(gens, label=label, degree=g.n)
+    group = group_tools(gens, degree=g.n)
     if group.order != order:
         raise AssertionError("Schreier-Sims order disagrees with the search's orbit sizes")
     return group

@@ -193,7 +193,7 @@ def reconstruct_from_match(match: FamilyMatch) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def special_automorphism(g: Graph, match: FamilyMatch | None = None) -> Permutation:
+def special_automorphism(g: Graph) -> Permutation:
     """The side-mixing prism automorphism s of a family graph.
 
     For the pendant-pair family ("C5" kind) s fixes both copies of every
@@ -203,12 +203,10 @@ def special_automorphism(g: Graph, match: FamilyMatch | None = None) -> Permutat
     either family, AssertionError if the table fails verification (which
     would falsify the structure theorem).
     """
-    if match is None:
-        matches = detect_family(g)
-        if not matches:
-            raise ValueError("graph is not in either family")
-        match = matches[0]
-    perm = _special_map(g, match)
+    matches = detect_family(g)
+    if not matches:
+        raise ValueError("graph is not in either family")
+    perm = _special_map(g, matches[0])
     prism = complementary_prism(g)
     if not is_isomorphism_map(prism, prism, perm.image):
         raise AssertionError("special map failed automorphism verification")
@@ -385,7 +383,7 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
     for p in generators:
         if not is_isomorphism_map(prism, prism, p.image):
             raise AssertionError("structured generator failed verification")
-    group = group_tools(generators, label=ratio.structure_label, degree=2 * n)
+    group = group_tools(generators, degree=2 * n)
     return PrismStructure(g, matches, base_group, anti, group, ratio)
 
 

@@ -33,11 +33,12 @@ class SpectrumReport:
     n: int
     eigenvalues: tuple[float, ...]
 
-    def multiplicity_pairs(self, tol: float = MULTIPLICITY_TOL) -> list[tuple[float, int]]:
-        """Bin the sorted eigenvalue list into (value, multiplicity) pairs."""
+    def multiplicity_pairs(self) -> list[tuple[float, int]]:
+        """Bin the sorted eigenvalue list into (value, multiplicity) pairs,
+        joining values within MULTIPLICITY_TOL of the running mean."""
         pairs: list[tuple[float, int]] = []
         for x in self.eigenvalues:
-            if pairs and abs(pairs[-1][0] - x) <= tol:
+            if pairs and abs(pairs[-1][0] - x) <= MULTIPLICITY_TOL:
                 v, m = pairs[-1]
                 pairs[-1] = ((v * m + x) / (m + 1), m + 1)
             else:
@@ -83,31 +84,6 @@ def prism_spectrum_closed_form(g: Graph) -> SpectrumReport:
     values.sort(reverse=True)
     assert len(values) == 2 * n
     return SpectrumReport(n=2 * n, eigenvalues=tuple(values))
-
-
-def prism_extreme_eigenvalues(g: Graph) -> tuple[float, float]:
-    """Largest and smallest prism eigenvalue straight from the closed form.
-
-    The maximum always comes from the regular branch; the minimum from
-    whichever of l2, ln has larger |2l + 1| (for K1 there is no second
-    eigenvalue and the regular branch supplies both extremes).
-    """
-    k = _require_connected_regular(g)
-    n = g.n
-    disc = math.sqrt((n - 1 - 2 * k) ** 2 + 4)
-    top = (n - 1 + disc) / 2
-    if n == 1:
-        bottom = (n - 1 - disc) / 2
-    else:
-        base = numeric_spectrum(g).eigenvalues
-        lam2, lamn = base[1], base[-1]
-        bottom = min(
-            (-1 - math.sqrt((2 * lam2 + 1) ** 2 + 4)) / 2,
-            (-1 - math.sqrt((2 * lamn + 1) ** 2 + 4)) / 2,
-        )
-    full = prism_spectrum_closed_form(g).eigenvalues
-    assert abs(full[0] - top) < 1e-9 and abs(full[-1] - bottom) < 1e-9
-    return top, bottom
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +263,6 @@ def srg_analysis(g: Graph) -> SrgAnalysis:
         srg_sc_eigen=sc_eigen,
         edge_witness=edge_w,
     )
-
-
-def is_one_walk_regular(g: Graph) -> bool:
-    return bool(srg_analysis(g).one_walk_regular)
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,7 @@ def _reachable_mask(g: Graph, start: int, allowed: int) -> int:
     return seen
 
 
-def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget | None):
+def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget):
     """Hamiltonian path from start (to end, if given) by pruned DFS."""
     n = g.n
     full = (1 << n) - 1
@@ -490,8 +490,7 @@ def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget |
         return False
 
     def rec(current: int, visited: int) -> bool:
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if visited == full:
             return end is None or current == end
         if prune(current, visited):
@@ -574,7 +573,7 @@ class PrismHamReport:
     notes: tuple[str, ...] = ()
 
 
-def prism_ham_constructions(g: Graph, all_pairs: bool = True, budget=None) -> PrismHamReport:
+def prism_ham_constructions(g: Graph, budget=None) -> PrismHamReport:
     """Explicit prism Hamiltonian witnesses spliced from base-graph ones.
 
     The prism Hamiltonian path comes from Hamiltonian cycles of g and its
@@ -613,7 +612,7 @@ def prism_ham_constructions(g: Graph, all_pairs: bool = True, budget=None) -> Pr
         notes.append("missing a Hamiltonian cycle in the base graph or its complement")
 
     ham_connected = None
-    if all_pairs and n >= 3:
+    if n >= 3:
         paths1 = hamiltonian(g, "connected", budget=budget)
         paths2 = paths1 and hamiltonian(comp, "connected", budget=budget)
         if not paths2:
@@ -652,7 +651,7 @@ def prism_ham_constructions(g: Graph, all_pairs: bool = True, budget=None) -> Pr
                     w = [prism_index(c, 1, n) for c in p] + [prism_index(c, 2, n) for c in q]
                     key = (prism_index(x, 1, n), prism_index(y, 2, n))
                     ham_connected[key] = pverify(w, *key)
-    elif all_pairs:
+    else:
         notes.append("all-pairs construction needs at least three vertices")
     return PrismHamReport(p8_path=p8, ham_connected=ham_connected, notes=tuple(notes))
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -44,6 +45,19 @@ def test_construct_json_flag(capsys):
     report = run_json(capsys, ["construct", "--name", "paley:9", "--json"])
     assert report["n"] == 9 and report["edges"] == 18
     assert parse_graph6(report["graph6"]).adj == paley_graph(9).adj
+
+
+def readme_name_grammar() -> list[str]:
+    """The example names of README's ``--name`` grammar paragraph."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("The `--name` grammar", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`([^`]+)`", paragraph)
+
+
+@pytest.mark.parametrize("name", readme_name_grammar())
+def test_construct_accepts_every_readme_name(capsys, name):
+    report = run_json(capsys, ["construct", "--name", name, "--json"])
+    assert report["n"] > 0
 
 
 def test_prism_command_builds_prism(capsys):
@@ -381,18 +395,6 @@ def test_hamilton_path_between_bad_endpoints_exit_2(capsys):
             capsys,
             ["hamilton", "--name", "cycle:5", "--mode", "path_between", f"--endpoints={endpoints}"],
         )
-
-
-def test_budget_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("PRISMATIC_BUDGET", "2")
-    report = run_json(capsys, ["hamilton", "--name", "paley:13", "--mode", "cycle"])
-    assert report["status"] == "unknown"
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", "2k"])
-def test_non_integer_budget_env_variable_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("PRISMATIC_BUDGET", value)
-    assert_input_error(capsys, ["hamilton", "--name", "cycle:5"])
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

@@ -11,7 +11,6 @@ from prismatic.graphs import (
     complementary_prism,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     lexicographic_product,
     path_graph,
@@ -254,14 +253,14 @@ def test_structured_group_matches_brute_force_n_6_slice():
 
 
 def test_structured_group_labels():
-    assert structured_prism_aut(cycle_graph(5)).group.structure_label == "S5"
-    assert structured_prism_aut(path_graph(4)).group.structure_label == "SemidirectZ2"
+    assert structured_prism_aut(cycle_graph(5)).ratio.structure_label == "S5"
+    assert structured_prism_aut(path_graph(4)).ratio.structure_label == "SemidirectZ2"
     assert (
-        structured_prism_aut(family_graph(FamilySpec("A", complete_graph(2)))).group.structure_label
+        structured_prism_aut(family_graph(FamilySpec("A", complete_graph(2)))).ratio.structure_label
         == "SemidirectZ2"
     )
-    assert structured_prism_aut(paley_graph(9)).group.structure_label == "AutUnionAntimorphisms"
-    assert structured_prism_aut(cycle_graph(4)).group.structure_label == "PlainAut"
+    assert structured_prism_aut(paley_graph(9)).ratio.structure_label == "AutUnionAntimorphisms"
+    assert structured_prism_aut(cycle_graph(4)).ratio.structure_label == "PlainAut"
 
 
 def test_structured_group_on_pentagon_is_s5():
@@ -408,8 +407,12 @@ def test_core_case_inside_second_side():
     assert case.case == "III_in_W2"
 
 
+# a triangle and a pentagon, side by side
+TRIANGLE_AND_PENTAGON = build_graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)])
+
+
 def test_core_case_partition_iv():
-    g = disjoint_union(complete_graph(3), cycle_graph(5))
+    g = TRIANGLE_AND_PENTAGON
     rep = compute_core(complementary_prism(g))
     case = classify_core_case(g, rep)
     assert case.case == "IV_partition"
@@ -418,7 +421,7 @@ def test_core_case_partition_iv():
 
 
 def test_core_case_partition_v():
-    g = disjoint_union(complete_graph(3), cycle_graph(5)).complement()
+    g = TRIANGLE_AND_PENTAGON.complement()
     rep = compute_core(complementary_prism(g))
     case = classify_core_case(g, rep)
     assert case.case == "V_partition"

@@ -1,0 +1,80 @@
+"""Everything public in ``src/prismatic`` is reached, and every CLI flag is read.
+
+A public module-level function or class counts as reached when something
+other than its own definition names it: code anywhere in ``src/prismatic``
+(the package ``__init__`` re-exports every name, so it does not count), a
+bench script, or README.md, whose Library section lists the API that
+nothing in the repository calls.
+"""
+
+import argparse
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from prismatic.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prismatic"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__"))
+
+# The commands that read each optional flag; every other command rejects it.
+FLAG_READERS = {"--json": {"construct", "prism"}, "--budget-nodes": {"core", "hamilton"}}
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(module, name) of every public module-level ``def`` and ``class``."""
+    return [
+        (path.stem, node.name)
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def names_used_in_src() -> set[str]:
+    """Every name that code in ``src/prismatic`` reads, imports or looks up
+    as an attribute."""
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_every_public_name_in_src_is_reached():
+    used = names_used_in_src()
+    text = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
+    text += (ROOT / "README.md").read_text(encoding="utf-8")
+    unreached = [
+        f"{module}.{name}"
+        for module, name in public_definitions()
+        if name not in used and not re.search(rf"\b{name}\b", text)
+    ]
+    assert unreached == []
+
+
+def test_each_flag_is_accepted_only_by_the_commands_that_read_it():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for flag, readers in FLAG_READERS.items():
+        takers = {
+            command
+            for command, parser in sub.choices.items()
+            if any(flag in action.option_strings for action in parser._actions)
+        }
+        assert takers == readers, flag
+
+
+@pytest.mark.parametrize("flag", [["--budget-nodes", "1"], ["--json"]], ids=["budget", "json"])
+def test_aut_rejects_flags_it_would_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["aut", "--name", "paley:5", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from prismatic.graphs import (
     complementary_prism,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     path_graph,
     star_graph,
@@ -21,9 +20,7 @@ from prismatic.spectral import (
     adjacency_matrix,
     SrgParams,
     eigenvalue_bound_checks,
-    is_one_walk_regular,
     numeric_spectrum,
-    prism_extreme_eigenvalues,
     prism_spectrum_closed_form,
     srg_analysis,
     srg_params,
@@ -125,7 +122,7 @@ def test_closed_form_matches_numeric(idx):
 
 
 def test_pentagon_prism_spectrum_is_petersen_spectrum():
-    pairs = prism_spectrum_closed_form(cycle_graph(5)).multiplicity_pairs(tol=1e-9)
+    pairs = prism_spectrum_closed_form(cycle_graph(5)).multiplicity_pairs()
     assert [(round(v), m) for v, m in pairs] == [(3, 1), (1, 5), (-2, 4)]
 
 
@@ -133,16 +130,35 @@ def test_closed_form_requires_connected_regular():
     with pytest.raises(ValueError):
         prism_spectrum_closed_form(path_graph(4))
     with pytest.raises(ValueError):
-        prism_spectrum_closed_form(disjoint_union(complete_graph(2), complete_graph(2)))
+        prism_spectrum_closed_form(build_graph(4, [(0, 1), (2, 3)]))
+
+
+def prism_extreme_eigenvalues(g):
+    """Largest and smallest prism eigenvalue of a connected k-regular g.
+
+    The maximum always comes from the regular branch; the minimum from
+    whichever of l2, ln has larger |2l + 1| (for K1 there is no second
+    eigenvalue and the regular branch supplies both extremes).
+    """
+    n, k = g.n, g.degrees()[0]
+    disc = math.sqrt((n - 1 - 2 * k) ** 2 + 4)
+    top = (n - 1 + disc) / 2
+    if n == 1:
+        return top, (n - 1 - disc) / 2
+    base = numeric_spectrum(g).eigenvalues
+    return top, min((-1 - math.sqrt((2 * lam + 1) ** 2 + 4)) / 2 for lam in (base[1], base[-1]))
 
 
 def test_extreme_eigenvalues():
     assert prism_extreme_eigenvalues(complete_graph(1)) == (1.0, -1.0)
     top, bottom = prism_extreme_eigenvalues(cycle_graph(5))
     assert abs(top - 3) < 1e-9 and abs(bottom + 2) < 1e-9
-    top13, bottom13 = prism_extreme_eigenvalues(paley_graph(13))
-    eigs = numeric_spectrum(complementary_prism(paley_graph(13))).eigenvalues
-    assert abs(top13 - eigs[0]) < 1e-9 and abs(bottom13 - eigs[-1]) < 1e-9
+    for g in (complete_graph(1), cycle_graph(5), paley_graph(13)):
+        top, bottom = prism_extreme_eigenvalues(g)
+        closed = prism_spectrum_closed_form(g).eigenvalues
+        numeric = numeric_spectrum(complementary_prism(g)).eigenvalues
+        for eigs in (closed, numeric):
+            assert abs(top - eigs[0]) < 1e-9 and abs(bottom - eigs[-1]) < 1e-9
 
 
 # -- strong regularity and 1-walk-regularity --------------------------------------
@@ -208,14 +224,13 @@ def test_edge_kind_witness_on_triangular_prism():
     assert w.kind == "edge" and w.power == 2
     assert w.entries == (((0, 1), 1), ((0, 3), 0))
     assert report.edge_witness is w
-    assert not is_one_walk_regular(tp)
+    assert not report.one_walk_regular
 
 
 def test_even_cycle_is_one_walk_regular_without_being_srg():
     report = srg_analysis(cycle_graph(6))
     assert report.srg_params is None
     assert report.one_walk_regular is True
-    assert is_one_walk_regular(cycle_graph(6))
 
 
 # -- theta bounds -----------------------------------------------------------------

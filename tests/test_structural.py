@@ -10,7 +10,6 @@ from prismatic.graphs import (
     complementary_prism,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     empty_graph,
     path_graph,
     star_graph,
@@ -113,7 +112,7 @@ def test_invariants_petersen():
 
 def test_vertex_connectivity_special_cases():
     assert vertex_connectivity(complete_graph(5)) == (4, None)
-    kappa, cut = vertex_connectivity(disjoint_union(complete_graph(2), complete_graph(2)))
+    kappa, cut = vertex_connectivity(build_graph(4, [(0, 1), (2, 3)]))
     assert kappa == 0 and cut == ()
     assert vertex_connectivity(star_graph(5))[0] == 1
     assert vertex_connectivity(cycle_graph(5))[0] == 2
@@ -437,7 +436,7 @@ def test_hamiltonian_mode_validation_and_budget():
 
 def test_prism_ham_p8_paths():
     for g in [paley_graph(9), paley_graph(13)] + [figure_f9(i) for i in range(1, 5)]:
-        rep = prism_ham_constructions(g, all_pairs=False)
+        rep = prism_ham_constructions(g)
         path = rep.p8_path
         assert path is not None and len(path) == 2 * g.n
         prism = complementary_prism(g)
@@ -448,7 +447,7 @@ def test_prism_ham_p8_paths():
 
 def test_prism_ham_all_pairs_paley9():
     g = paley_graph(9)
-    rep = prism_ham_constructions(g, all_pairs=True)
+    rep = prism_ham_constructions(g)
     conn = rep.ham_connected
     assert conn is not None and len(conn) == 18 * 17 // 2
     prism = complementary_prism(g)
@@ -478,12 +477,12 @@ def test_prism_ham_constructions_share_one_budget():
 
 
 def test_prism_ham_single_vertex():
-    rep = prism_ham_constructions(complete_graph(1), all_pairs=False)
+    rep = prism_ham_constructions(complete_graph(1))
     assert rep.p8_path == [0, 1]
 
 
 def test_prism_ham_unavailable_base():
-    rep = prism_ham_constructions(star_graph(4), all_pairs=False)
+    rep = prism_ham_constructions(star_graph(4))
     assert rep.p8_path is None
     assert rep.notes
 
