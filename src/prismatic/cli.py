@@ -351,7 +351,9 @@ def cmd_theta(args) -> int:
 
 def cmd_hamilton(args) -> int:
     g = load_graph(args)
-    report = {"command": "hamilton", "n": g.n, "mode": args.mode}
+    report = {"command": "hamilton", "n": g.n}
+    if not args.constructions:
+        report["mode"] = args.mode
     budget = args.budget_nodes
     try:
         if args.constructions:

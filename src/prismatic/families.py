@@ -30,6 +30,7 @@ from .fields import get_field
 from .graphio import load_fixture
 from .graphs import (
     Graph,
+    bits,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -130,7 +131,7 @@ def kneser_graph(n: int, r: int) -> Graph:
 
 def petersen_graph() -> Graph:
     g = kneser_graph(5, 2)
-    return Graph(g.n, g.adj, name="petersen")
+    return Graph._trusted(g.n, g.adj, name="petersen")
 
 
 # The Cayley graph on the additive group of GF(49) x GF(4) with connection
@@ -146,22 +147,37 @@ def _cayley_f49xf4_pairs():
     return f49, f4, pairs
 
 
-def _cayley_adjacent(f49, f4, a, b):
-    (x1, y1), (x2, y2) = a, b
-    return x1 != x2 and f4.sub(y1, y2) in (f4.zero, f4.one)
+def _cayley_rows(f49, f4, pairs) -> list[int]:
+    """Adjacency bitsets of the Cayley graph on ``pairs``, indexed like ``pairs``.
+
+    (x1, y1) ~ (x2, y2) iff x1 != x2 and y1 - y2 is 0 or 1.  GF(4)
+    subtraction is read from a 4 x 4 table of element indices, so each row
+    is a union of y-classes minus one x-class.
+    """
+    elems4 = f4.elements()
+    sub = [[f4.index(f4.sub(a, b)) for b in elems4] for a in elems4]
+    zero_one = (f4.index(f4.zero), f4.index(f4.one))
+    xs = [f49.index(x) for x, _ in pairs]
+    ys = [f4.index(y) for _, y in pairs]
+    with_x = [0] * f49.q
+    with_y = [0] * f4.q
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        with_x[x] |= 1 << i
+        with_y[y] |= 1 << i
+    reach = [0] * f4.q
+    for a in range(f4.q):
+        for b in range(f4.q):
+            if sub[a][b] in zero_one:
+                reach[a] |= with_y[b]
+    return [reach[y] & ~with_x[x] for x, y in zip(xs, ys)]
 
 
 def cay_f49xf4() -> Graph:
     """Standalone copy of the 196-vertex Cayley graph (two components)."""
     f49, f4, pairs = _cayley_f49xf4_pairs()
-    m = len(pairs)
-    edges = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if _cayley_adjacent(f49, f4, pairs[i], pairs[j])
-    ]
-    return build_graph(m, edges, name="cay_f49xf4")
+    rows = _cayley_rows(f49, f4, pairs)
+    edges = [(a, b) for a, row in enumerate(rows) for b in bits(row) if a < b]
+    return build_graph(len(pairs), edges, name="cay_f49xf4")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +193,7 @@ def figure_f9(index: int) -> Graph:
     if index not in (1, 2, 3, 4):
         raise ValueError("figure_f9 index must be 1, 2, 3 or 4")
     g = load_fixture(f"f9_{index}")
-    return Graph(g.n, g.adj, name=f"figure_f9({index})")
+    return Graph._trusted(g.n, g.adj, name=f"figure_f9({index})")
 
 
 def exa1_graph() -> Graph:
@@ -187,7 +203,7 @@ def exa1_graph() -> Graph:
     retracts onto that K5 (see ``exa1_prism_retraction``).
     """
     g = load_fixture("f10")
-    return Graph(g.n, g.adj, name="exa1")
+    return Graph._trusted(g.n, g.adj, name="exa1")
 
 
 def exa1_antimorphism() -> list[int]:
@@ -317,10 +333,8 @@ def mysterious505() -> Mysterious505:
                 if {99 + a, 99 + b} != {u1, u2}:
                     edges.append((99 + a, 99 + b))
     # Cayley block.
-    for a in range(196):
-        for b in range(a + 1, 196):
-            if _cayley_adjacent(f49, f4, w_pairs[a], w_pairs[b]):
-                edges.append((w_ids[a], w_ids[b]))
+    for a, row in enumerate(_cayley_rows(f49, f4, w_pairs)):
+        edges += [(w_ids[a], w_ids[b]) for b in bits(row) if a < b]
     # Cross edges.
     w195, w196 = w_ids[194], w_ids[195]
     edges.append((w195, u1))

@@ -8,9 +8,15 @@ four-byte size prefixes).
 
 from __future__ import annotations
 
-from .graphs import Graph, from_adjacency
+import binascii
+
+from .graphs import Graph, bits, from_adjacency
 
 _MAX_N = 1 << 18
+_G6_ALPHABET = bytes(range(63, 127))
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_ALPHABET)
+_G6_TO_B64 = bytes.maketrans(_G6_ALPHABET, _B64_ALPHABET)
 
 
 def _encode_size(n: int) -> bytes:
@@ -46,19 +52,17 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 
 
 def write_graph6(g: Graph) -> str:
-    out = bytearray(_encode_size(g.n))
-    acc = 0
-    nbits = 0
-    for col in range(1, g.n):
-        for row in range(col):
-            acc = (acc << 1) | ((g.adj[row] >> col) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc, nbits = 0, 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    # By symmetry, column c of the upper triangle is the low c bits of row c,
+    # emitted from row 0 up.  base64 packs a bit stream into 6-bit groups,
+    # high bit first, exactly as graph6 does; only the alphabet differs.
+    stream = "".join(
+        format(row & ((1 << c) - 1), "0%db" % c)[::-1] for c, row in enumerate(g.adj) if c
+    )
+    nchars = (len(stream) + 5) // 6
+    stream += "0" * (-len(stream) % 24)
+    packed = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
+    body = binascii.b2a_base64(packed, newline=False).translate(_B64_TO_G6)[:nchars]
+    return (_encode_size(g.n) + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -73,25 +77,26 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(
             "graph6 body has %d bytes, expected %d for n=%d" % (len(body), nbytes, n)
         )
-    adj = [0] * n
-    k = 0
-    for c in body:
-        if not 63 <= c <= 126:
-            raise ValueError("non-printable byte %d in graph6 body" % c)
-    for col in range(1, n):
-        for row in range(col):
-            byte = body[k // 6]
-            bit = ((byte - 63) >> (5 - (k % 6))) & 1
-            k += 1
-            if bit:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
+    bad = body.translate(None, _G6_ALPHABET)
+    if bad:
+        raise ValueError("non-printable byte %d in graph6 body" % bad[0])
     # padding bits must be zero
     if nbits % 6:
         byte = body[-1] - 63
         if byte & ((1 << (6 - nbits % 6)) - 1):
             raise ValueError("nonzero padding bits in graph6 body")
-    return Graph(n, adj)
+    padded = body.translate(_G6_TO_B64) + b"A" * (-len(body) % 4)
+    stream = format(int.from_bytes(binascii.a2b_base64(padded), "big"), "0%db" % (6 * len(padded)))
+    # Column c gives the neighbours of c below c; mirror each edge into its row.
+    adj = [0] * n
+    start = 0
+    for c in range(1, n):
+        column = int(stream[start : start + c][::-1], 2)
+        start += c
+        adj[c] = column
+        for r in bits(column):
+            adj[r] |= 1 << c
+    return Graph._trusted(n, adj)
 
 
 def write_dot(g: Graph, name: str = "G") -> str:

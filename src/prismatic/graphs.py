@@ -1,8 +1,24 @@
 """Dense simple graphs with per-vertex adjacency bitsets.
 
 Vertices are always 0..n-1.  The adjacency row of vertex v is a Python int
-used as a bitset: bit u is set iff u ~ v.  All constructors validate symmetry
-and loop-freeness, so any Graph in circulation is a legal simple graph.
+used as a bitset: bit u is set iff u ~ v.
+
+Validation happens where adjacency comes from outside: ``Graph(n, adj)`` and
+``from_adjacency`` check that every row is in range, loop-free and
+symmetric.  The other constructors make rows that are symmetric and
+loop-free by construction, and wrap them with ``Graph._trusted``, which
+skips that quadratic check:
+
+* ``build_graph`` rejects loops and out-of-range endpoints, then sets both
+  bits of each edge;
+* ``graphio.parse_graph6`` mirrors the upper triangle it decodes;
+* ``empty_graph`` and ``complete_graph`` are fixed patterns;
+* ``complement``, ``induced``, ``relabel`` (once it has checked that it got a
+  permutation), ``complementary_prism`` and ``lexicographic_product`` keep
+  both properties of graphs that already have them, and so do the
+  renaming re-wraps in ``families``.
+
+So any Graph in circulation is a legal simple graph.
 """
 
 from __future__ import annotations
@@ -44,6 +60,17 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.name = name
+
+    @classmethod
+    def _trusted(cls, n: int, adj: Sequence[int], name: str = "") -> "Graph":
+        """Wrap rows that are symmetric and loop-free by construction, unchecked."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = tuple(adj)
+        g.name = name
+        return g
 
     # -- basic queries ------------------------------------------------------
 
@@ -89,28 +116,32 @@ class Graph:
     def complement(self, name: str = "") -> "Graph":
         full = (1 << self.n) - 1
         adj = [full & ~row & ~(1 << v) for v, row in enumerate(self.adj)]
-        return Graph(self.n, adj, name or (self.name + "~" if self.name else ""))
+        return Graph._trusted(self.n, adj, name or (self.name + "~" if self.name else ""))
 
     def induced(self, vertices: Iterable[int], name: str = "") -> "Graph":
         """Induced subgraph; vertex i of the result is sorted(vertices)[i]."""
         keep = sorted(set(vertices))
+        if keep and not (0 <= keep[0] and keep[-1] < self.n):
+            raise ValueError("induced vertices must lie in range(%d)" % self.n)
         index = {v: i for i, v in enumerate(keep)}
         adj = [0] * len(keep)
         for i, v in enumerate(keep):
             for u in bits(self.adj[v]):
                 if u in index:
                     adj[i] |= 1 << index[u]
-        return Graph(len(keep), adj, name)
+        return Graph._trusted(len(keep), adj, name)
 
     def relabel(self, perm: Sequence[int], name: str = "") -> "Graph":
         """Image graph under the bijection v -> perm[v]."""
+        if len(perm) != self.n or set(perm) != set(range(self.n)):
+            raise ValueError("relabelling is not a permutation of range(%d)" % self.n)
         adj = [0] * self.n
         for v in range(self.n):
             row = 0
             for u in bits(self.adj[v]):
                 row |= 1 << perm[u]
             adj[perm[v]] = row
-        return Graph(self.n, adj, name)
+        return Graph._trusted(self.n, adj, name)
 
     # -- traversal ----------------------------------------------------------
 
@@ -181,7 +212,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
             raise ValueError("edge %r out of range for n=%d" % (pair, n))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj, name)
+    return Graph._trusted(n, adj, name)
 
 
 def from_adjacency(rows: Sequence[Sequence[int]], name: str = "") -> Graph:
@@ -200,12 +231,12 @@ def from_adjacency(rows: Sequence[Sequence[int]], name: str = "") -> Graph:
 
 
 def empty_graph(n: int, name: str = "") -> Graph:
-    return Graph(n, [0] * n, name or ("K~%d" % n))
+    return Graph._trusted(n, [0] * n, name or ("K~%d" % n))
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, [full & ~(1 << v) for v in range(n)], "K%d" % n)
+    return Graph._trusted(n, [full & ~(1 << v) for v in range(n)], "K%d" % n)
 
 
 def path_graph(n: int) -> Graph:
@@ -239,7 +270,7 @@ def complementary_prism(g: Graph, name: str = "") -> Graph:
     for v in range(n):
         adj[v] = g.adj[v] | (1 << (n + v))
         adj[n + v] = (comp.adj[v] << n) | (1 << v)
-    return Graph(2 * n, adj, name or ((g.name + "-prism") if g.name else "prism"))
+    return Graph._trusted(2 * n, adj, name or ((g.name + "-prism") if g.name else "prism"))
 
 
 def prism_index(v: int, side: int, n: int) -> int:
@@ -261,4 +292,4 @@ def lexicographic_product(g1: Graph, g2: Graph, name: str = "") -> Graph:
             row_blocks |= block << (c * n2)
         for b in range(n2):
             adj[a * n2 + b] = row_blocks | (g2.adj[b] << (a * n2))
-    return Graph(n, adj, name)
+    return Graph._trusted(n, adj, name)

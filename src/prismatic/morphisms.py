@@ -164,9 +164,15 @@ def is_homomorphism(g1: Graph, g2: Graph, image) -> bool:
         return False
     if any(not 0 <= x < g2.n for x in image):
         return False
-    for u, v in g1.edges():
-        if not g2.has_edge(image[u], image[v]):
-            return False
+    adj2 = g2.adj
+    for v, row in enumerate(g1.adj):
+        target = adj2[image[v]]
+        row >>= v + 1  # each edge once, from its lower end: u = v + bit_length
+        while row:
+            low = row & -row
+            if not (target >> image[v + low.bit_length()]) & 1:
+                return False
+            row ^= low
     return True
 
 

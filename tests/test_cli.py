@@ -281,6 +281,13 @@ def test_hamilton_constructions(capsys):
     assert report["prism_ham_connected_pairs"] == 153
 
 
+def test_hamilton_reports_mode_only_when_it_reads_it(capsys):
+    report = run_json(capsys, ["hamilton", "--name", "paley:5", "--constructions"])
+    assert "mode" not in report
+    report = run_json(capsys, ["hamilton", "--name", "paley:5", "--mode", "cycle"])
+    assert report["mode"] == "cycle"
+
+
 def test_hamilton_budget_unknown(capsys):
     report = run_json(
         capsys,

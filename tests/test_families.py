@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -269,6 +270,24 @@ def test_mysterious505_layout():
             dx, dy = f49.sub(xi, xj), f4.sub(yi, yj)
             expected = dx != f49.zero and dy in (f4.zero, f4.one)
             assert wb.has_edge(i, j) == expected
+
+
+def test_cayley_tables_match_field_arithmetic():
+    # the w-block of mysterious505 is checked pair by pair in the layout test
+    from prismatic.fields import get_field
+
+    f49, f4 = get_field(49), get_field(4)
+    pairs = [(x, y) for y in f4.elements() for x in f49.elements()]
+    expected = {
+        (i, j)
+        for i, j in itertools.combinations(range(196), 2)
+        if pairs[i][0] != pairs[j][0] and f4.sub(pairs[i][1], pairs[j][1]) in (f4.zero, f4.one)
+    }
+    assert set(cay_f49xf4().edges()) == expected
+    # the whole 505-vertex edge set, as the element-by-element construction built it
+    edges = sorted(mysterious505().graph.edges())
+    digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+    assert digest == "3590956625a5054d6a997ccb54ca20e362a34e8a350679ecd95ac9945c6e1f8d"
 
 
 # -- name grammar -------------------------------------------------------------

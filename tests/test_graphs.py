@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from prismatic.graphs import (
-    Graph,
     build_graph,
     complementary_prism,
     complete_graph,

@@ -24,10 +24,8 @@ from prismatic.morphisms import (
     find_antimorphisms,
     find_isomorphisms,
     is_isomorphism_map,
-    is_vertex_transitive,
 )
 from prismatic.prisms import (
-    CoreCase,
     CoreCaseViolation,
     classify_core_case,
     detect_family,

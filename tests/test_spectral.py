@@ -16,7 +16,6 @@ from prismatic.graphs import (
     star_graph,
 )
 from prismatic.spectral import (
-    EigenvalueBoundReport,
     adjacency_matrix,
     SrgParams,
     eigenvalue_bound_checks,
