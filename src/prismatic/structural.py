@@ -17,8 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import Graph, bits, complementary_prism, prism_index
-from .morphisms import SearchBudget, _as_budget
+from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
+from .morphisms import SearchBudget, _as_budget, find_homomorphism
 
 
 # ---------------------------------------------------------------------------
@@ -84,55 +84,34 @@ def _dsatur_coloring(g: Graph) -> list[int]:
     return colors
 
 
-def _k_colorable(g: Graph, k: int) -> list[int] | None:
-    """Exact backtracking k-coloring (colors 1..k), or None."""
-    n = g.n
-    order = sorted(range(n), key=lambda v: -g.degree(v))
-    colors = [0] * n
-
-    def rec(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        forbidden = {colors[u] for u in g.neighbors(v) if colors[u]}
-        limit = min(k, used + 1)  # first use of a new color is canonical
-        for c in range(1, limit + 1):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if rec(i + 1, max(used, c)):
-                return True
-            colors[v] = 0
-        return False
-
-    return colors if rec(0, 0) else None
-
-
 CHROMATIC_EXACT_MAX_N = 48
 
 
 def chromatic_number(g: Graph) -> tuple[int, list[int], bool]:
-    """(chi, proper coloring, exact flag).
+    """(chi, proper coloring with colors 1..chi, exact flag).
 
-    Exact for graphs up to CHROMATIC_EXACT_MAX_N vertices via clique lower
-    bound, DSATUR upper bound, and branch-and-bound in between; beyond
-    that the DSATUR upper bound is returned with exact=False (unless the
-    two bounds already meet).
+    A k-coloring is a homomorphism g -> K_k.  chi lies between
+    max(omega, ceil(n / alpha)) and the DSATUR coloring's count.  Up to
+    CHROMATIC_EXACT_MAX_N vertices, each k in between is decided by
+    ``find_homomorphism(g, K_k)`` with a maximum clique pinned to colors
+    0..omega-1, which removes the symmetry of permuting the colors.  Beyond
+    that the DSATUR coloring is returned, exact only if the bounds meet.
+    The tests check chi against a plain backtracking search, _k_colorable.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return 0, [], True
-    lb = len(max_clique(g))
+    clique = max_clique(g)
+    lb = max(len(clique), -(-n // len(max_independent_set(g))))
     coloring = _dsatur_coloring(g)
     ub = max(coloring)
-    if lb == ub:
-        return ub, coloring, True
-    if g.n > CHROMATIC_EXACT_MAX_N:
-        return ub, coloring, False
-    for k in range(lb, ub):
-        found = _k_colorable(g, k)
-        if found is not None:
-            return k, found, True
-    return ub, coloring, True
+    if lb < ub and n <= CHROMATIC_EXACT_MAX_N:
+        pinned = {v: i for i, v in enumerate(clique)}
+        for k in range(lb, ub):
+            found = find_homomorphism(g, complete_graph(k), constraints=pinned)
+            if found is not None:
+                return k, [c + 1 for c in found.image], True
+    return ub, coloring, lb == ub or n <= CHROMATIC_EXACT_MAX_N
 
 
 def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
@@ -355,26 +334,17 @@ def cheeger_closed_form(g: Graph) -> CheegerReport:
                 return u, v
         return None
 
-    hit = qualifying_edge(g)
-    if hit is not None:
-        u, v = hit
-        s_mask = 1 << prism_index(u, 1, n)
-        for w in range(n):
-            if w != v:
-                s_mask |= 1 << prism_index(w, 2, n)
-        report = _report_for(prism, s_mask, "closed_form")
-        assert report.value == Fraction(n - 1, n)
-        return report
-    hit = qualifying_edge(g.complement())
-    if hit is not None:
-        u, v = hit
-        s_mask = 1 << prism_index(u, 2, n)
-        for w in range(n):
-            if w != v:
-                s_mask |= 1 << prism_index(w, 1, n)
-        report = _report_for(prism, s_mask, "closed_form")
-        assert report.value == Fraction(n - 1, n)
-        return report
+    for h, side_u, side_rest in ((g, 1, 2), (g.complement(), 2, 1)):
+        hit = qualifying_edge(h)
+        if hit is not None:
+            u, v = hit
+            s_mask = 1 << prism_index(u, side_u, n)
+            for w in range(n):
+                if w != v:
+                    s_mask |= 1 << prism_index(w, side_rest, n)
+            report = _report_for(prism, s_mask, "closed_form")
+            assert report.value == Fraction(n - 1, n)
+            return report
     s_mask = (1 << n) - 1  # all of side 1; boundary is exactly the matching
     report = _report_for(prism, s_mask, "closed_form")
     assert report.value == 1
@@ -721,8 +691,8 @@ def bound_checks(g: Graph) -> BoundCheckReport:
     else:
         clique_coclique = "not applicable"
 
-    chi, coloring, exact = chromatic_number(g)
-    if (vt or one_wr) and exact and chi == omega and n:
+    chi, coloring = inv.chi, inv.witnesses["coloring"]
+    if (vt or one_wr) and inv.exact and chi == omega and n:
         sizes = [coloring.count(c) for c in range(1, chi + 1)]
         preimage = {
             "alpha_times_omega_equals_n": alpha * omega == n,

@@ -1,11 +1,24 @@
+import importlib.util
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from prismatic.families import figure_f9, paley_graph, petersen_graph
+from prismatic.cli import main
+from prismatic.families import (
+    FamilySpec,
+    family_graph,
+    figure_f9,
+    named_graph,
+    paley_graph,
+    petersen_graph,
+)
 from prismatic.graphs import (
+    Graph,
     build_graph,
     complementary_prism,
     complete_graph,
@@ -69,6 +82,10 @@ def test_chromatic_known_values():
         (paley_graph(9), 3),
         (paley_graph(13), 5),
         (empty_graph(4), 1),
+        (paley_graph(29), 8),
+        (paley_graph(37), 10),
+        # 58 vertices, above CHROMATIC_EXACT_MAX_N, where the bounds meet
+        (complementary_prism(paley_graph(29)), 8),
     ]:
         value, coloring, exact = chromatic_number(g)
         assert value == chi and exact
@@ -76,6 +93,121 @@ def test_chromatic_known_values():
         assert len(set(coloring)) == chi
         for u, v in g.edges():
             assert coloring[u] != coloring[v]
+
+
+def _k_colorable(g: Graph, k: int) -> list[int] | None:
+    """Exact backtracking k-coloring (colors 1..k), or None."""
+    n = g.n
+    order = sorted(range(n), key=lambda v: -g.degree(v))
+    colors = [0] * n
+
+    def rec(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        forbidden = {colors[u] for u in g.neighbors(v) if colors[u]}
+        limit = min(k, used + 1)  # first use of a new color is canonical
+        for c in range(1, limit + 1):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            if rec(i + 1, max(used, c)):
+                return True
+            colors[v] = 0
+        return False
+
+    return colors if rec(0, 0) else None
+
+
+def reference_chromatic_number(g):
+    """(chi, exact) by the clique bound, DSATUR, then ``_k_colorable`` for
+    each k in between, up to CHROMATIC_EXACT_MAX_N vertices."""
+    if g.n == 0:
+        return 0, True
+    lb = len(max_clique(g))
+    ub = max(structural._dsatur_coloring(g))
+    if lb == ub:
+        return ub, True
+    if g.n > structural.CHROMATIC_EXACT_MAX_N:
+        return ub, False
+    for k in range(lb, ub):
+        if _k_colorable(g, k) is not None:
+            return k, True
+    return ub, True
+
+
+NAMED_FAMILIES = [
+    "petersen", "exa1", "cay_f49xf4", "cycle:5", "cycle:6", "cycle:9", "path:1", "path:7",
+    "complete:1", "complete:6", "empty:1", "empty:4", "star:5", "paley:5", "paley:9",
+    "paley:13", "paley:17", "kneser:5:2", "kneser:6:2", "kneser:7:2", "kneser:7:3",
+    "figure_f9:1", "figure_f9:2", "figure_f9:3", "figure_f9:4",
+]
+
+
+def _chromatic_cases():
+    rng = random.Random(1301)
+    graphs = [named_graph(spec) for spec in NAMED_FAMILIES]
+    graphs += [
+        family_graph(FamilySpec(kind, named_graph(inner)))
+        for kind in ("C5", "A")
+        for inner in ("empty:1", "complete:3", "cycle:4", "path:3", "star:4", "cycle:5")
+    ]
+    for n in range(17):
+        for density in (0.2, 0.5, 0.8):
+            graphs += [random_graph(n, rng, density) for _ in range(6)]
+    graphs += [complementary_prism(random_graph(n, rng, 0.5)) for n in range(1, 10) for _ in range(10)]
+    return graphs
+
+
+def test_chromatic_number_matches_reference_route():
+    for g in _chromatic_cases():
+        chi, coloring, exact = chromatic_number(g)
+        ref_chi, ref_exact = reference_chromatic_number(g)
+        assert chi == ref_chi, g.name
+        if g.n <= structural.CHROMATIC_EXACT_MAX_N:
+            assert exact == ref_exact, g.name
+        else:  # a meeting of the bounds may only make the answer exact
+            assert exact >= ref_exact, g.name
+        assert len(coloring) == g.n
+        assert set(coloring) == set(range(1, chi + 1)), g.name
+        for u, v in g.edges():
+            assert coloring[u] != coloring[v]
+
+
+def test_invariants_command_on_paley37(capsys):
+    assert main(["invariants", "--name", "paley:37"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["n"], report["chi"], report["exact"]) == (37, 10, True)
+    assert sorted(set(report["witnesses"]["coloring"])) == list(range(1, 11))
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_invariants_reproduce_the_bench_reference_answers(capsys):
+    answers, workloads = load_bench("answers"), load_bench("workloads")
+    ref = workloads.load_reference()
+    rng = random.Random(1302)
+    replayed = 0
+    for key, expected in sorted(ref["answers"].items()):
+        kind, base = key.split("|")
+        if not kind.startswith("invariants"):
+            continue
+        inputs = workloads.random_inputs(ref["bases"][base]["g6"], rng)
+        req = workloads.request(kind, base, inputs)
+        rc = main(req.argv)
+        out = capsys.readouterr().out
+        assert answers.check_valid(req.kind, req.argv, expected, rc, out, None) is None, key
+        replayed += 1
+    assert replayed == 44
 
 
 def test_invariant_report_consistency_small():
@@ -336,8 +468,8 @@ def reference_cheeger_brute_force(g):
     return _report_for(g, best_mask, "brute_force")
 
 
-def random_graph(n, rng):
-    return build_graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+def random_graph(n, rng, density=0.5):
+    return build_graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < density])
 
 
 def test_cheeger_kernel_matches_reference_on_small_prisms():
