@@ -24,13 +24,14 @@ exposed as plain image arrays so they can be verified mechanically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .fields import get_field
 from .graphio import load_fixture
 from .graphs import (
     Graph,
-    bits,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -90,18 +91,17 @@ def apex_pair_graph(inner: Graph) -> Graph:
 
 
 def paley_graph(q: int) -> Graph:
-    """Paley graph on GF(q); requires q = 1 (mod 4) so the graph is undirected."""
+    """Paley graph on GF(q); requires q = 1 (mod 4) so the graph is undirected.
+
+    Vertex a is the field element a, and its row is the translate a + S of
+    the set S of nonzero squares.
+    """
     field = get_field(q)
     if q % 4 != 1:
         raise ValueError(f"Paley graph needs q = 1 (mod 4), got {q}")
     squares = field.nonzero_squares()
-    elems = field.elements()
-    edges = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            if field.sub(elems[i], elems[j]) in squares:
-                edges.append((i, j))
-    return build_graph(q, edges, name=f"paley({q})")
+    rows = [sum(1 << field.add(a, s) for s in squares) for a in range(q)]
+    return Graph._trusted(q, rows, name=f"paley({q})")
 
 
 def colex_subsets(n: int, r: int) -> list[frozenset[int]]:
@@ -114,19 +114,16 @@ def colex_subsets(n: int, r: int) -> list[frozenset[int]]:
 def kneser_graph(n: int, r: int) -> Graph:
     """Kneser graph K(n, r): r-subsets of {1..n}, adjacent iff disjoint.
 
-    Vertices follow colexicographic subset order.
+    Vertices follow colexicographic subset order.  The row of a subset is
+    the intersection, over its elements x, of the bitmask of subsets that
+    lack x.
     """
     if not 0 < 2 * r < n:
         raise ValueError(f"Kneser graph needs 0 < 2r < n, got n={n}, r={r}")
     subs = colex_subsets(n, r)
-    m = len(subs)
-    edges = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if not (subs[i] & subs[j])
-    ]
-    return build_graph(m, edges, name=f"kneser({n},{r})")
+    lacking = [sum(1 << j for j, s in enumerate(subs) if x not in s) for x in range(n + 1)]
+    rows = [reduce(and_, [lacking[x] for x in s]) for s in subs]
+    return Graph._trusted(len(subs), rows, name=f"kneser({n},{r})")
 
 
 def petersen_graph() -> Graph:
@@ -140,44 +137,27 @@ def petersen_graph() -> Graph:
 # GF(49) x {0, 1} and GF(49) x {i, 1+i} where i is a generator of GF(4).
 
 
-def _cayley_f49xf4_pairs():
-    f49 = get_field(49)
-    f4 = get_field(4)
-    pairs = [(x, y) for y in f4.elements() for x in f49.elements()]
-    return f49, f4, pairs
-
-
-def _cayley_rows(f49, f4, pairs) -> list[int]:
+def _cayley_rows(pairs) -> list[int]:
     """Adjacency bitsets of the Cayley graph on ``pairs``, indexed like ``pairs``.
 
-    (x1, y1) ~ (x2, y2) iff x1 != x2 and y1 - y2 is 0 or 1.  GF(4)
-    subtraction is read from a 4 x 4 table of element indices, so each row
-    is a union of y-classes minus one x-class.
+    A pair is (x, y) with x in GF(49) and y in GF(4), both as field
+    integers.  (x1, y1) ~ (x2, y2) iff x1 != x2 and y1 - y2 is 0 or 1, that
+    is, y2 is y1 or y1 + 1; so each row is a union of two y-classes minus
+    one x-class.
     """
-    elems4 = f4.elements()
-    sub = [[f4.index(f4.sub(a, b)) for b in elems4] for a in elems4]
-    zero_one = (f4.index(f4.zero), f4.index(f4.one))
-    xs = [f49.index(x) for x, _ in pairs]
-    ys = [f4.index(y) for _, y in pairs]
-    with_x = [0] * f49.q
-    with_y = [0] * f4.q
-    for i, (x, y) in enumerate(zip(xs, ys)):
+    f4 = get_field(4)
+    with_x = [0] * 49
+    with_y = [0] * 4
+    for i, (x, y) in enumerate(pairs):
         with_x[x] |= 1 << i
         with_y[y] |= 1 << i
-    reach = [0] * f4.q
-    for a in range(f4.q):
-        for b in range(f4.q):
-            if sub[a][b] in zero_one:
-                reach[a] |= with_y[b]
-    return [reach[y] & ~with_x[x] for x, y in zip(xs, ys)]
+    return [(with_y[y] | with_y[f4.add(y, 1)]) & ~with_x[x] for x, y in pairs]
 
 
 def cay_f49xf4() -> Graph:
     """Standalone copy of the 196-vertex Cayley graph (two components)."""
-    f49, f4, pairs = _cayley_f49xf4_pairs()
-    rows = _cayley_rows(f49, f4, pairs)
-    edges = [(a, b) for a, row in enumerate(rows) for b in bits(row) if a < b]
-    return build_graph(len(pairs), edges, name="cay_f49xf4")
+    pairs = [(x, y) for y in range(4) for x in range(49)]
+    return Graph._trusted(196, _cayley_rows(pairs), name="cay_f49xf4")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +245,8 @@ class Mysterious505:
       {1,2,3,4} ~ {2,3,4,5} removed.
     * ``u1``, ``u2``: the endpoints of that removed edge.
     * ``w``: indices of the 196 Cayley-block vertices w1..w196.
-    * ``w_pairs``: the GF(49) x GF(4) element pair carried by each w vertex.
+    * ``w_pairs``: the GF(49) x GF(4) element pair (x, y) carried by each w
+      vertex, as field integers: x in 0..48 and y in 0..3.
     """
 
     graph: Graph
@@ -274,7 +255,7 @@ class Mysterious505:
     u1: int
     u2: int
     w: tuple[int, ...]
-    w_pairs: tuple[tuple, ...]
+    w_pairs: tuple[tuple[int, int], ...]
 
 
 def mysterious505() -> Mysterious505:
@@ -288,70 +269,43 @@ def mysterious505() -> Mysterious505:
       e = {{1,2,3,4}, {2,3,4,5}};
     * 309..504: vertices w1..w196 inducing the Cayley graph on
       GF(49) x GF(4) with connection set {(x,y) : x != 0, y in {0,1}}.
-      w195 = (0,1) and w196 = (0,i) are the last two indices; the rest
-      are numbered component by component in field-index order.
+      w195 = (0,1) and w196 = (0,i) = (0,2) are the last two indices; the
+      rest are numbered component by component in field-integer order.
 
     Cross edges: w195 ~ u1 = {1,2,3,4} and w196 ~ u2 = {2,3,4,5};
     w195, w196 ~ vi for i <= 97; wj ~ v98, v99 for j <= 194; and
     vi ~ ws for i <= 97 and s in {1..194} - {i, i+97}.  The result is
     194-regular.
     """
-    f49 = get_field(49)
-    f4 = get_field(4)
-
     v_ids = tuple(range(99))
     kneser_ids = tuple(range(99, 309))
-    subs = colex_subsets(10, 4)
-    set_u1 = frozenset({1, 2, 3, 4})
-    set_u2 = frozenset({2, 3, 4, 5})
-    u1 = 99 + subs.index(set_u1)
-    u2 = 99 + subs.index(set_u2)
-
-    elems49 = f49.elements()
-    zero49 = f49.zero
-    y0, y1 = f4.element(0), f4.element(1)
-    yi, yi1 = f4.element(2), f4.element(3)
-    special1 = (zero49, y1)
-    special2 = (zero49, yi)
-    w_pairs = []
-    for y in (y0, y1):
-        w_pairs += [(x, y) for x in elems49 if (x, y) != special1]
-    for y in (yi, yi1):
-        w_pairs += [(x, y) for x in elems49 if (x, y) != special2]
-    w_pairs += [special1, special2]
-    w_pairs = tuple(w_pairs)
-    if len(w_pairs) != 196:
-        raise AssertionError("Cayley block enumeration is off")
     w_ids = tuple(range(309, 505))
-
-    edges = []
-    # Kneser-complement block: adjacent iff the 4-subsets intersect,
-    # with the edge u1 ~ u2 removed.
-    for a in range(210):
-        for b in range(a + 1, 210):
-            if subs[a] & subs[b]:
-                if {99 + a, 99 + b} != {u1, u2}:
-                    edges.append((99 + a, 99 + b))
-    # Cayley block.
-    for a, row in enumerate(_cayley_rows(f49, f4, w_pairs)):
-        edges += [(w_ids[a], w_ids[b]) for b in bits(row) if a < b]
-    # Cross edges.
+    subs = colex_subsets(10, 4)
+    u1 = 99 + subs.index(frozenset({1, 2, 3, 4}))
+    u2 = 99 + subs.index(frozenset({2, 3, 4, 5}))
+    special = ((0, 1), (0, 2))  # w195 and w196
+    pairs = [(x, y) for y in range(4) for x in range(49)]
+    w_pairs = tuple([pair for pair in pairs if pair not in special] + list(special))
     w195, w196 = w_ids[194], w_ids[195]
-    edges.append((w195, u1))
-    edges.append((w196, u2))
-    for i in range(1, 98):  # v1..v97
-        edges.append((v_ids[i - 1], w195))
-        edges.append((v_ids[i - 1], w196))
-    for j in range(1, 195):  # w1..w194
-        edges.append((w_ids[j - 1], v_ids[97]))
-        edges.append((w_ids[j - 1], v_ids[98]))
-    for i in range(1, 98):
-        skip = {i, i + 97}
-        for s in range(1, 195):
-            if s not in skip:
-                edges.append((v_ids[i - 1], w_ids[s - 1]))
 
-    graph = build_graph(505, edges, name="mysterious505")
+    # v-block: vi ~ ws for s <= 194 with s != i, i + 97 (i <= 97), and
+    # v98, v99 ~ w1..w194; v1..v97 ~ w195, w196.
+    w_low = ((1 << 194) - 1) << 309
+    rows = [w_low ^ (1 << 309 + t | 1 << 406 + t) | 1 << w195 | 1 << w196 for t in range(97)]
+    rows += [w_low, w_low]
+    # Kneser-complement block: adjacent iff the 4-subsets intersect.  The
+    # xor drops the edge u1 ~ u2 and adds u1 ~ w195 and u2 ~ w196.
+    rows += [row << 99 for row in kneser_graph(10, 4).complement().adj]
+    rows[u1] ^= 1 << u2 | 1 << w195
+    rows[u2] ^= 1 << u1 | 1 << w196
+    # Cayley block; ws for s <= 194 misses exactly the one vi with
+    # i = s (mod 97) among v1..v97.
+    cayley = _cayley_rows(w_pairs)
+    v_all, v_97 = (1 << 99) - 1, (1 << 97) - 1
+    rows += [row << 309 | v_all & ~(1 << t % 97) for t, row in enumerate(cayley[:194])]
+    rows += [cayley[194] << 309 | v_97 | 1 << u1, cayley[195] << 309 | v_97 | 1 << u2]
+
+    graph = Graph._trusted(505, rows, name="mysterious505")
     return Mysterious505(graph, v_ids, kneser_ids, u1, u2, w_ids, w_pairs)
 
 
@@ -360,20 +314,18 @@ def mysterious505_prism_retraction(layout: Mysterious505 | None = None) -> list[
 
     The image consists of the side-1 copy of the Kneser block together with
     the side-2 copies of the Kneser block and of all v vertices.  Writing
-    (x, s) for the copy of x on side s and p1, p2 for the projections of a
-    Cayley pair onto GF(49) x {0} and {0} x GF(4):
+    (a, s) for the copy of a on side s and (x, y) for the field integers in
+    ``w_pairs`` (x in 0..48, y in 0..3), which index ``layout.v`` directly:
 
     * Kneser-block vertices are fixed on both sides; (vi, 2) is fixed.
-    * (wj, 1) for j <= 194 goes to (v_{index(p1(wj)) + 1}, 2);
+    * (wj, 1) for j <= 194 goes to (v_{x + 1}, 2);
       (w195, 1) and (w196, 1) go to (u1, 2) and (u2, 2).
-    * (wj, 2) goes to (v_{50 + index4(p2(wj))}, 2), except j = 50..53 go to
+    * (wj, 2) goes to (v_{50 + y}, 2), except j = 50..53 go to
       (v54..v57, 2) and j = 147..150 go to (v58..v61, 2).
     * (vi, 1) goes to (v62, 2), except (v62, 1) which goes to (v63, 2).
     """
     if layout is None:
         layout = mysterious505()
-    f49 = get_field(49)
-    f4 = get_field(4)
     n = layout.graph.n
 
     def side2(base: int) -> int:
@@ -394,7 +346,7 @@ def mysterious505_prism_retraction(layout: Mysterious505 | None = None) -> list[
             image[w_prism] = side2(layout.u2)
         else:
             x, _ = layout.w_pairs[j - 1]
-            image[w_prism] = side2(layout.v[f49.index(x)])
+            image[w_prism] = side2(layout.v[x])
 
     for j in range(1, 197):
         w_prism = side2(layout.w[j - 1])
@@ -404,7 +356,7 @@ def mysterious505_prism_retraction(layout: Mysterious505 | None = None) -> list[
             image[w_prism] = side2(layout.v[57 + (j - 147)])
         else:
             _, y = layout.w_pairs[j - 1]
-            image[w_prism] = side2(layout.v[49 + f4.index(y)])
+            image[w_prism] = side2(layout.v[49 + y])
 
     for i in range(1, 100):
         v_prism = prism_index(layout.v[i - 1], 1, n)

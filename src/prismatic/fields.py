@@ -1,16 +1,16 @@
 """Exact arithmetic in the small finite fields the constructions need.
 
-Elements of GF(p^k) are tuples of k coefficients over GF(p) in the polynomial
-basis (little-endian: coeffs[i] multiplies x^i).  Every element also has an
-integer index sum(coeffs[i] * p^i), used when field elements become graph
-vertices.
+An element of GF(p^k) is the integer 0..q-1 that also indexes it as a graph
+vertex: its base-p digits, least significant first, are the coefficients of
+a polynomial over GF(p) taken modulo a fixed monic irreducible modulus.
+Addition and subtraction work digit by digit.  Multiplication, inversion,
+powers and the square set read log/antilog tables of the least primitive
+element, built once when the field is made (``get_field`` caches it).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-Elem = tuple[int, ...]
 
 # q -> (p, k, modulus coefficients low->high including leading 1)
 _EXTENSION_TABLE = {
@@ -34,7 +34,7 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """GF(p^k) with a fixed irreducible modulus."""
+    """GF(p^k) with a fixed irreducible modulus; elements are 0..q-1."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not _is_prime(p):
@@ -45,101 +45,74 @@ class FieldSpec:
         self.k = k
         self.modulus = tuple(c % p for c in modulus)
         self.q = p**k
-        if self.q <= 4096 and k > 1 and self._has_root():
-            raise ValueError("modulus %r is reducible over GF(%d)" % (modulus, p))
-        self.zero: Elem = (0,) * k
-        self.one: Elem = (1,) + (0,) * (k - 1)
+        self.exp, self.log = self._log_tables()
 
-    def _has_root(self) -> bool:
-        for x in range(self.p):
-            acc = 0
-            for c in reversed(self.modulus):
-                acc = (acc * x + c) % self.p
-            if acc == 0:
-                return True
-        return False
+    def _log_tables(self) -> tuple[list[int], list[int]]:
+        """Powers of the least primitive element and their discrete logs.
 
-    # -- element plumbing ---------------------------------------------------
+        Only a field has an element of multiplicative order q - 1: modulo a
+        reducible modulus the units are fewer than q - 1.  So the search
+        failing is the irreducibility check.
+        """
+        q = self.q
+        for g in range(1, q):
+            exp, x = [1], g
+            while x not in (0, 1) and len(exp) < q - 1:
+                exp.append(x)
+                x = self._slow_mul(x, g)
+            if x == 1 and len(exp) == q - 1:
+                log = [0] * q
+                for i, a in enumerate(exp):
+                    log[a] = i
+                return exp, log
+        raise ValueError("modulus %r is reducible over GF(%d)" % (self.modulus, self.p))
 
-    def elements(self) -> list[Elem]:
-        return [self.element(idx) for idx in range(self.q)]
+    def _axpy(self, a: int, b: int, s: int) -> int:
+        """a + s * b for an integer scalar s, digit by digit in base p."""
+        p, total, place = self.p, 0, 1
+        while a or b:
+            total += (a + s * b) % p * place
+            a, b, place = a // p, b // p, place * p
+        return total
 
-    def element(self, index: int) -> Elem:
-        if not 0 <= index < self.q:
-            raise ValueError("index out of range")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return tuple(coeffs)
-
-    def index(self, a: Elem) -> int:
-        return sum(c * self.p**i for i, c in enumerate(a))
+    def _slow_mul(self, a: int, b: int) -> int:
+        """a * b by Horner's rule over the digits of b; builds the tables."""
+        p, top = self.p, self.q // self.p
+        low = sum(c * p**i for i, c in enumerate(self.modulus[:-1]))  # modulus - x^k
+        acc = 0
+        for i in reversed(range(self.k)):
+            hi, lo = divmod(acc, top)  # acc * x = lo * x + hi * x^k = lo * x - hi * low
+            acc = self._axpy(self._axpy(lo * p, low, -hi), a, b // p**i % p)
+        return acc
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: Elem, b: Elem) -> Elem:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def add(self, a: int, b: int) -> int:
+        return self._axpy(a, b, 1)
 
-    def sub(self, a: Elem, b: Elem) -> Elem:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def sub(self, a: int, b: int) -> int:
+        return self._axpy(a, b, -1)
 
-    def neg(self, a: Elem) -> Elem:
-        return tuple((-x) % self.p for x in a)
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
 
-    def mul(self, a: Elem, b: Elem) -> Elem:
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce modulo the monic modulus
-        for d in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(self.k):
-                    prod[d - self.k + j] = (prod[d - self.k + j] - c * self.modulus[j]) % self.p
-        return tuple(prod[: self.k])
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inversion of zero")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
-    def pow(self, a: Elem, e: int) -> Elem:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
 
-    def inv(self, a: Elem) -> Elem:
-        if a == self.zero:
-            raise ZeroDivisionError("inversion of zero")
-        return self.pow(a, self.q - 2)
-
-    # -- quadratic structure --------------------------------------------------
-
-    def nonzero_squares(self) -> set[Elem]:
+    def nonzero_squares(self) -> set[int]:
+        """The even powers of the primitive element."""
         if self.q % 2 == 0:
             raise ValueError("squares/nonsquares need odd q")
-        return {self.mul(a, a) for a in self.elements() if a != self.zero}
-
-    def squares_and_nonsquare(self) -> tuple[set[Elem], Elem]:
-        """Nonzero squares plus the least-index nonsquare."""
-        squares = self.nonzero_squares()
-        for a in self.elements():
-            if a != self.zero and a not in squares:
-                return squares, a
-        raise AssertionError("odd field without a nonsquare")
-
-    def subfield_fixed_points(self) -> set[Elem]:
-        """{x : x^sqrt(q) = x}; the sqrt(q)-element subfield when q is a square."""
-        root = int(round(self.q**0.5))
-        if root * root != self.q:
-            raise ValueError("q is not a square")
-        return {a for a in self.elements() if self.pow(a, root) == a}
+        return set(self.exp[::2])
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,11 @@ skips that quadratic check:
 * ``complement``, ``induced``, ``relabel`` (once it has checked that it got a
   permutation), ``complementary_prism`` and ``lexicographic_product`` keep
   both properties of graphs that already have them, and so do the
-  renaming re-wraps in ``families``.
+  renaming re-wraps in ``families``;
+* the Paley, Kneser and Cayley rows in ``families``, and the 505-vertex
+  example's rows, are built symmetric from their definitions (translates of
+  a symmetric set, disjointness, and blocks with their cross edges listed
+  from both ends).
 
 So any Graph in circulation is a legal simple graph.
 """

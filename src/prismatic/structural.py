@@ -87,7 +87,9 @@ def _dsatur_coloring(g: Graph) -> list[int]:
 CHROMATIC_EXACT_MAX_N = 48
 
 
-def chromatic_number(g: Graph) -> tuple[int, list[int], bool]:
+def chromatic_number(
+    g: Graph, *, clique: tuple[int, ...] | None = None, indep: tuple[int, ...] | None = None
+) -> tuple[int, list[int], bool]:
     """(chi, proper coloring with colors 1..chi, exact flag).
 
     A k-coloring is a homomorphism g -> K_k.  chi lies between
@@ -97,12 +99,17 @@ def chromatic_number(g: Graph) -> tuple[int, list[int], bool]:
     0..omega-1, which removes the symmetry of permuting the colors.  Beyond
     that the DSATUR coloring is returned, exact only if the bounds meet.
     The tests check chi against a plain backtracking search, _k_colorable.
+
+    ``clique`` and ``indep`` are a maximum clique and a maximum independent
+    set of g when the caller has them already (``invariants`` does); they
+    are computed here otherwise.
     """
     n = g.n
     if n == 0:
         return 0, [], True
-    clique = max_clique(g)
-    lb = max(len(clique), -(-n // len(max_independent_set(g))))
+    clique = max_clique(g) if clique is None else clique
+    indep = max_independent_set(g) if indep is None else indep
+    lb = max(len(clique), -(-n // len(indep)))
     coloring = _dsatur_coloring(g)
     ub = max(coloring)
     if lb < ub and n <= CHROMATIC_EXACT_MAX_N:
@@ -263,7 +270,7 @@ def invariants(g: Graph) -> InvariantReport:
     indep = max_independent_set(g)
     for a, b in combinations(indep, 2):
         assert not g.has_edge(a, b)
-    chi, coloring, exact = chromatic_number(g)
+    chi, coloring, exact = chromatic_number(g, clique=clique, indep=indep)
     for v, u in g.edges():
         assert coloring[v] != coloring[u]
     kappa, cut = vertex_connectivity(g)

@@ -44,6 +44,8 @@ NAMED = [
     "empty:3",
     "star:4",
     "paley:13",
+    "paley:25",
+    "paley:49",
     "kneser:6:2",
     "figure_f9:1",
     "figure_f9:2",

@@ -19,6 +19,7 @@ from prismatic.families import (
     pendant_pair_graph,
     petersen_graph,
 )
+from prismatic.fields import get_field
 from prismatic.graphio import load_fixture
 from prismatic.graphs import complete_graph, cycle_graph, empty_graph, path_graph
 from prismatic.morphisms import (
@@ -108,6 +109,16 @@ def test_paley_regular_self_complementary(q):
     assert isomorphic(g, g.complement())
 
 
+@pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 37, 41, 49])
+def test_paley_graph_is_the_pairwise_difference_definition(q):
+    f = get_field(q)
+    squares = {f.mul(a, a) for a in range(1, q)}
+    g = paley_graph(q)
+    for i in range(q):
+        for j in range(q):
+            assert g.has_edge(i, j) == (f.sub(i, j) in squares)
+
+
 def test_paley_needs_q_1_mod_4():
     with pytest.raises(ValueError):
         paley_graph(7)
@@ -134,11 +145,12 @@ def test_kneser_5_2_is_petersen():
 
 
 def test_kneser_adjacency_is_disjointness():
-    g = kneser_graph(6, 2)
-    subs = colex_subsets(6, 2)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            assert g.has_edge(i, j) == (not subs[i] & subs[j])
+    for n, r in [(6, 2), (5, 2), (7, 3), (10, 4)]:
+        g = kneser_graph(n, r)
+        subs = colex_subsets(n, r)
+        for i in range(g.n):
+            for j in range(g.n):
+                assert g.has_edge(i, j) == (not subs[i] & subs[j])
 
 
 def test_kneser_10_4_shape():
@@ -259,8 +271,6 @@ def test_mysterious505_layout():
 
     # w-block induces the Cayley graph, in the layout's own vertex order:
     # w_i ~ w_j iff the pair difference (x, y) has x != 0 and y in {0, 1}
-    from prismatic.fields import get_field
-
     f49, f4 = get_field(49), get_field(4)
     wb = g.induced(m.w)
     for i in range(196):
@@ -268,20 +278,21 @@ def test_mysterious505_layout():
         for j in range(i + 1, 196):
             xj, yj = m.w_pairs[j]
             dx, dy = f49.sub(xi, xj), f4.sub(yi, yj)
-            expected = dx != f49.zero and dy in (f4.zero, f4.one)
+            expected = dx != 0 and dy in (0, 1)
             assert wb.has_edge(i, j) == expected
+    # the pairs are the field integers, the special pairs (0, 1) and (0, i) last
+    assert sorted(m.w_pairs) == [(x, y) for x in range(49) for y in range(4)]
+    assert m.w_pairs[194:] == ((0, 1), (0, 2))
 
 
 def test_cayley_tables_match_field_arithmetic():
     # the w-block of mysterious505 is checked pair by pair in the layout test
-    from prismatic.fields import get_field
-
-    f49, f4 = get_field(49), get_field(4)
-    pairs = [(x, y) for y in f4.elements() for x in f49.elements()]
+    f4 = get_field(4)
+    pairs = [(x, y) for y in range(4) for x in range(49)]
     expected = {
         (i, j)
         for i, j in itertools.combinations(range(196), 2)
-        if pairs[i][0] != pairs[j][0] and f4.sub(pairs[i][1], pairs[j][1]) in (f4.zero, f4.one)
+        if pairs[i][0] != pairs[j][0] and f4.sub(pairs[i][1], pairs[j][1]) in (0, 1)
     }
     assert set(cay_f49xf4().edges()) == expected
     # the whole 505-vertex edge set, as the element-by-element construction built it

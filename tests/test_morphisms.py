@@ -5,6 +5,7 @@ import pytest
 
 from prismatic.families import figure_f9, kneser_graph, paley_graph, petersen_graph
 from prismatic.graphs import (
+    Graph,
     bits,
     build_graph,
     complementary_prism,
@@ -86,6 +87,53 @@ def test_is_isomorphism_map():
     # non-injective or non-edge-reflecting maps are rejected
     assert not is_isomorphism_map(c4, c4, [0, 0, 1, 2])
     assert not is_isomorphism_map(c4, c4, [0, 2, 1, 3])
+
+
+def isomorphism_map_reference(g1, g2, image):
+    """The pairwise definition: a bijection that maps edges and non-edges alike."""
+    image = list(image)
+    if g1.n != g2.n or len(image) != g1.n or sorted(image) != list(range(g1.n)):
+        return False
+    return all(
+        g1.has_edge(u, v) == g2.has_edge(image[u], image[v])
+        for u in range(g1.n)
+        for v in range(u + 1, g1.n)
+    )
+
+
+def test_is_isomorphism_map_matches_the_pairwise_reference():
+    rng = random.Random(1401)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n)
+        perm = rng.sample(range(n), n)
+        copy = g.relabel(perm)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        cases = [
+            (copy, perm),
+            (copy, [rng.randrange(n) for _ in range(n)]),  # usually not a bijection
+            (copy, perm[:-1]),
+            (copy, perm + [n]),
+        ]
+        if pairs:  # the relabelled copy with one pair flipped
+            u, v = rng.choice(pairs)
+            adj = list(copy.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            cases.append((Graph(n, adj), perm))
+        edges, non_edges = list(copy.edges()), [p for p in pairs if not copy.has_edge(*p)]
+        if edges and non_edges:  # one edge moved: equal edge counts, not an image
+            drop, add = rng.choice(edges), rng.choice(non_edges)
+            moved = build_graph(n, [e for e in edges if e != drop] + [add])
+            cases.append((moved, perm))
+        other = build_graph(n, rng.sample(pairs, g.edge_count()))  # equal edge count
+        cases.append((other, perm))
+        for target, image in cases:
+            expected = isomorphism_map_reference(g, target, image)
+            assert is_isomorphism_map(g, target, image) == expected
+            verdicts.append(expected)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 900
 
 
 def test_is_antimorphism_map_paley5_doubling():

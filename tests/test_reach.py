@@ -1,10 +1,10 @@
 """Everything public in ``src/prismatic`` is reached, and every CLI flag is read.
 
-A public module-level function or class counts as reached when something
-other than its own definition names it: code anywhere in ``src/prismatic``
-(the package ``__init__`` re-exports every name, so it does not count), a
-bench script, or README.md, whose Library section lists the API that
-nothing in the repository calls.
+A public module-level function or class, or a public method of a public
+class, counts as reached when something other than its own definition names
+it: code anywhere in ``src/prismatic`` (the package ``__init__`` re-exports
+every name, so it does not count), a bench script, or README.md, whose
+Library section lists the API that nothing in the repository calls.
 """
 
 import argparse
@@ -25,13 +25,21 @@ FLAG_READERS = {"--json": {"construct", "prism"}, "--budget-nodes": {"core", "ha
 
 
 def public_definitions() -> list[tuple[str, str]]:
-    """(module, name) of every public module-level ``def`` and ``class``."""
-    return [
-        (path.stem, node.name)
-        for path in MODULES
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    ]
+    """(qualified name, name) of every public module-level ``def`` and
+    ``class``, and of every public method of a public class."""
+    found = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
 
 
 def names_used_in_src() -> set[str]:
@@ -54,8 +62,8 @@ def test_every_public_name_in_src_is_reached():
     text = "\n".join(p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py")))
     text += (ROOT / "README.md").read_text(encoding="utf-8")
     unreached = [
-        f"{module}.{name}"
-        for module, name in public_definitions()
+        qualified
+        for qualified, name in public_definitions()
         if name not in used and not re.search(rf"\b{name}\b", text)
     ]
     assert unreached == []

@@ -239,6 +239,18 @@ def test_invariants_petersen():
     assert (inv.alpha, inv.omega, inv.chi, inv.kappa) == (4, 2, 3, 3)
 
 
+def test_invariants_computes_each_clique_bound_once(monkeypatch):
+    # one maximum clique of g and one of its complement (the independent set),
+    # shared with the chromatic number's lower bound
+    calls = []
+    original = structural.max_clique
+    monkeypatch.setattr(structural, "max_clique", lambda g: calls.append(g) or original(g))
+    g = complementary_prism(cycle_graph(7))
+    inv = invariants(g)
+    assert len(calls) == 2
+    assert (inv.chi, inv.exact) == structural.chromatic_number(g)[::2]
+
+
 # -- vertex connectivity ---------------------------------------------------------
 
 
