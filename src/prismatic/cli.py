@@ -22,9 +22,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from .families import named_graph
+from .families import (
+    exa1_antimorphism,
+    exa1_graph,
+    exa1_prism_retraction,
+    figure_f9,
+    mysterious505,
+    mysterious505_prism_retraction,
+    named_graph,
+    petersen_graph,
+)
 from .graphio import parse_graph6, write_graph6
-from .graphs import Graph, build_graph, complementary_prism
+from .graphs import Graph, build_graph, complementary_prism, complete_graph, cycle_graph
 from .morphisms import (
     BudgetExhausted,
     antimorphism_facts,
@@ -54,6 +63,7 @@ from .structural import (
     invariants,
     kneser_facts,
     prism_ham_constructions,
+    vertex_connectivity,
 )
 
 
@@ -416,9 +426,6 @@ def cmd_invariants(args) -> int:
 
 
 def _verify_exa1() -> dict:
-    from .families import exa1_antimorphism, exa1_graph, exa1_prism_retraction
-    from .graphs import complete_graph
-
     g = exa1_graph()
     sigma = exa1_antimorphism()
     order, fixed = antimorphism_facts(sigma, g)
@@ -442,8 +449,6 @@ def _verify_exa1() -> dict:
 
 
 def _verify_mysterious505() -> dict:
-    from .families import mysterious505, mysterious505_prism_retraction
-
     t0 = time.perf_counter()
     fix = mysterious505()
     g = fix.graph
@@ -472,9 +477,6 @@ def _verify_mysterious505() -> dict:
 
 
 def _verify_petersen() -> dict:
-    from .families import petersen_graph
-    from .graphs import cycle_graph
-
     pet = petersen_graph()
     prism = complementary_prism(cycle_graph(5))
     iso = bool(find_isomorphisms(prism, pet, limit=1))
@@ -493,9 +495,6 @@ def _verify_petersen() -> dict:
 
 
 def _verify_f9() -> dict:
-    from .families import figure_f9
-    from .structural import vertex_connectivity
-
     out = {"fixture": "figure_f9"}
     for i in (1, 2, 3, 4):
         g = figure_f9(i)

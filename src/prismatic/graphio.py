@@ -9,6 +9,7 @@ four-byte size prefixes).
 from __future__ import annotations
 
 import binascii
+from importlib.resources import files
 
 from .graphs import Graph, bits, from_adjacency
 
@@ -123,7 +124,5 @@ def parse_grid(text: str, name: str = "") -> Graph:
 
 def load_fixture(stem: str) -> Graph:
     """Load a packaged data/<stem>.txt adjacency grid."""
-    from importlib.resources import files
-
     text = files("prismatic.data").joinpath(stem + ".txt").read_text()
     return parse_grid(text, stem)

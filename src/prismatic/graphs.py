@@ -102,9 +102,6 @@ class Graph:
         degs = self.degrees()
         return len(set(degs)) <= 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf, lcm
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, lexicographic_product
 
 
 class BudgetExhausted(Exception):
@@ -903,8 +903,6 @@ def wreath_map(g1: Graph, g2: Graph, phi, betas) -> VertexMap:
     ``phi`` is an image array on g1, ``betas`` one image array on g2 per
     g1-vertex.  Vertex (a, b) of the product has index a*|V(g2)| + b.
     """
-    from .graphs import lexicographic_product
-
     n1, n2 = g1.n, g2.n
     phi = list(phi)
     betas = [list(b) for b in betas]

@@ -16,11 +16,14 @@ of structure results:
   lifts together with s;
 * for the pentagon, the prism is the Petersen graph and the group is S5.
 
-This module detects family membership, builds the special automorphism and
-the structured group, classifies the |Aut(prism)| / |Aut(G)| ratio, decides
-vertex-transitivity/Cayley-ness/diameter of the prism, classifies where a
-computed core of the prism sits (five mutually exclusive shapes), and checks
-that a prism is never a nontrivial lexicographic product.
+This module detects family membership (each candidate outer path found by
+degrees is rebuilt with :func:`prismatic.families.family_graph`, the one
+definition of both families, and kept only if the rebuild is the graph),
+builds the special automorphism and the structured group, classifies the
+|Aut(prism)| / |Aut(G)| ratio, decides vertex-transitivity/Cayley-ness/
+diameter of the prism, classifies where a computed core of the prism sits
+(five mutually exclusive shapes), and checks that a prism is never a
+nontrivial lexicographic product.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .families import colex_subsets, kneser_graph
-from .graphs import Graph, bits, build_graph, complementary_prism, prism_index
+from .families import FamilySpec, colex_subsets, family_graph, kneser_graph
+from .graphs import Graph, bits, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
     Permutation,
@@ -60,132 +63,49 @@ class FamilyMatch:
     outer: tuple[int, int, int, int]
 
 
-def _verify_family_match(g: Graph, match: FamilyMatch) -> bool:
-    y, v, u, z = match.outer
-    outer, inner = {y, v, u, z}, set(match.inner_vertices)
-    if len(outer) != 4 or len(inner) + 4 != g.n or outer & inner:
-        return False
-    if match.kind == "C5":
-        want = {
-            y: {v} | inner,
-            z: {u} | inner,
-            v: {y, u},
-            u: {v, z},
-        }
-    else:
-        want = {
-            y: {v},
-            z: {u},
-            v: {y, u} | inner,
-            u: {v, z} | inner,
-        }
-    if any(set(g.neighbors(x)) != nbrs for x, nbrs in want.items()):
-        return False
-    # Inner edges agree with the stored inner graph.
-    order = match.inner_vertices
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if g.has_edge(order[i], order[j]) != match.inner.has_edge(i, j):
-                return False
-    return True
-
-
-def _detect_pentagon(g: Graph) -> FamilyMatch | None:
-    """The pendant-pair kind over K1 is the pentagon: read (y, v, u, z) off
-    the cycle through vertex 0 (the only 2-regular graph on five vertices)."""
-    if any(d != 2 for d in g.degrees()):
-        return None
-    y, z = g.neighbors(0)
-    v = next(w for w in g.neighbors(y) if w != 0)
-    u = next(w for w in g.neighbors(z) if w != 0)
-    match = FamilyMatch("C5", Graph(1, (0,)), (0,), (y, v, u, z))
-    return match if _verify_family_match(g, match) else None
-
-
-def _detect_structural(g: Graph, kind: str) -> FamilyMatch | None:
-    """Degree-based detection for |inner| != 1 (C5 kind) or any |inner| (A kind)."""
-    n = g.n
-    deg = g.degrees()
-    if kind == "C5":
-        cand_inner = [
-            x for x in range(n) if all(deg[u] != 2 for u in g.neighbors(x))
-        ]
-    else:
-        cand_inner = [
-            x
-            for x in range(n)
-            if deg[x] >= 2 and all(deg[u] >= 2 for u in g.neighbors(x))
-        ]
-    outer = [x for x in range(n) if x not in set(cand_inner)]
-    if len(outer) != 4:
-        return None
-    inner_sorted = tuple(sorted(cand_inner))
-    inner_graph = g.induced(inner_sorted)
-
-    if kind == "C5":
-        for v in outer:
-            if deg[v] != 2:
-                continue
-            for u in g.neighbors(v):
-                if u not in outer or deg[u] != 2:
-                    continue
-                rest_v = [x for x in g.neighbors(v) if x != u]
-                rest_u = [x for x in g.neighbors(u) if x != v]
-                if len(rest_v) != 1 or len(rest_u) != 1:
-                    continue
-                y, z = rest_v[0], rest_u[0]
-                match = FamilyMatch("C5", inner_graph, inner_sorted, (y, v, u, z))
-                if _verify_family_match(g, match):
-                    return match
-        return None
-
-    ones = [x for x in outer if deg[x] == 1]
-    if len(ones) != 2:
-        return None
-    y, z = sorted(ones)
-    v = g.neighbors(y)[0]
-    u = g.neighbors(z)[0]
-    match = FamilyMatch("A", inner_graph, inner_sorted, (y, v, u, z))
-    return match if _verify_family_match(g, match) else None
-
-
 def detect_family(g: Graph) -> list[FamilyMatch]:
     """Detect whether g belongs to either family; [] means neither.
 
     A four-vertex path matches both families (with empty inner graph), and
-    both matches are returned.  Detection is exact in O(n^2) because the
-    inner vertex set L is fixed by degrees alone, whatever the labelling:
-
-    * pendant-pair ("C5") kind, |L| >= 2: v and u have degree 2, y and z
-      degree |L| + 1 >= 3, each inner vertex degree deg_L + 2, and an inner
-      neighbour of an inner vertex degree >= 3; so "no neighbour of degree
-      2" selects exactly L.  |L| = 1 is the pentagon, handled on its own;
-      |L| = 0 is P4, where the same rule selects the empty set;
-    * apex-pair ("A") kind, |L| >= 0: y and z have degree 1, and v, u are
-      adjacent to them; so "degree >= 2 and every neighbour of degree >= 2"
-      selects exactly L.
-
-    Degrees then fix the roles on the remaining four vertices up to
-    reversing the path y-v-u-z, under which both kinds are symmetric, and
-    each candidate quadruple is checked against the definition; so there
-    are no false positives and no misses.
+    both matches are returned; the pentagon matches the pendant-pair kind
+    over one vertex.  In a member on n vertices the outer path y-v-u-z has
+    the degrees (n-3, 2, 2, n-3) for the pendant-pair ("C5") kind and
+    (1, n-2, n-2, 1) for the apex-pair ("A") kind.  For each kind, every
+    path y-v-u-z of distinct vertices with v < u and those degrees is a
+    candidate, the rest of the vertices its inner graph, and the first
+    candidate that ``reconstruct_from_match`` turns back into g is the
+    match.  Detection is exact: an accepted match rebuilds g from the
+    definition, so there are no false positives, and a member's own outer
+    path passes the degree filter in one of its two directions (both kinds
+    are symmetric under reversing the path), so there are no misses.
     """
-    if g.n < 4:
-        return []
-    c5 = _detect_pentagon(g) if g.n == 5 else _detect_structural(g, "C5")
-    a = _detect_structural(g, "A")
-    return [m for m in (c5, a) if m]
+    n, deg = g.n, g.degrees()
+    matches = []
+    for kind, end, mid in (("C5", n - 3, 2), ("A", 1, n - 2)):
+        ends = sum(1 << x for x in range(n) if deg[x] == end)
+        mids = sum(1 << x for x in range(n) if deg[x] == mid)
+        candidates = (
+            (y, v, u, z)
+            for v in bits(mids)
+            for u in bits(g.adj[v] & mids & -(2 << v))
+            for y in bits(g.adj[v] & ends & ~(1 << u))
+            for z in bits(g.adj[u] & ends & ~(1 << v | 1 << y))
+        )
+        for outer in candidates:
+            rest = tuple(x for x in range(n) if x not in outer)
+            match = FamilyMatch(kind, g.induced(rest), rest, outer)
+            if reconstruct_from_match(match) == g:
+                matches.append(match)
+                break
+    return matches
 
 
 def reconstruct_from_match(match: FamilyMatch) -> Graph:
-    """Rebuild the matched graph on its own labels (round-trip helper)."""
-    inner, labels = match.inner, match.inner_vertices
-    y, v, u, z = match.outer
-    edges = [(labels[a], labels[b]) for a, b in inner.edges()]
-    edges += [(y, v), (v, u), (u, z)]
-    attach = (y, z) if match.kind == "C5" else (v, u)
-    edges += [(o, w) for o in attach for w in labels]
-    return build_graph(inner.n + 4, edges)
+    """Rebuild the matched graph on its own labels: ``family_graph``
+    relabelled, inner vertex i to ``inner_vertices[i]`` and y, v, u, z to
+    ``outer``."""
+    member = family_graph(FamilySpec(match.kind, match.inner))
+    return member.relabel(match.inner_vertices + match.outer)
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +163,6 @@ def _special_map(g: Graph, match: FamilyMatch) -> Permutation:
 # ---------------------------------------------------------------------------
 # Structured automorphism group of the prism.
 # ---------------------------------------------------------------------------
-
-
-def _diagonal_lift(base_map, n: int) -> Permutation:
-    image = [0] * (2 * n)
-    for x in range(n):
-        image[x] = base_map[x]
-        image[n + x] = n + base_map[x]
-    return Permutation(tuple(image))
-
-
-def _swap_lift(base_map, n: int) -> Permutation:
-    image = [0] * (2 * n)
-    for x in range(n):
-        image[x] = n + base_map[x]
-        image[n + x] = base_map[x]
-    return Permutation(tuple(image))
 
 
 @dataclass(frozen=True)
@@ -374,9 +278,11 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
             )
             generators.append(iso * on_pairs * iso_inv)
     else:
-        generators = [_diagonal_lift(p.image, n) for p in base_group.generators]
+        generators = [
+            Permutation(p.image + tuple(n + x for x in p.image)) for p in base_group.generators
+        ]
         if anti is not None:
-            generators.append(_swap_lift(anti.image, n))
+            generators.append(Permutation(tuple(n + x for x in anti.image) + anti.image))
         if matches:
             generators.append(_special_map(g, matches[0]))
 

@@ -354,7 +354,7 @@ def eigenvalue_bound_checks(g: Graph) -> EigenvalueBoundReport:
         pairing_err = max(pairing_err, abs(eigs[i] + 1 + eigs[n - i]))
     notes: list[str] = []
 
-    from .structural import hamiltonian
+    from .structural import hamiltonian  # structural imports this module
 
     cycle = hamiltonian(g, "cycle")
     if cycle is None:

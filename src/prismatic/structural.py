@@ -17,8 +17,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
-from .morphisms import SearchBudget, _as_budget, find_homomorphism
+from .morphisms import SearchBudget, _as_budget, find_homomorphism, is_vertex_transitive
+from .spectral import srg_analysis
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +520,6 @@ def hamiltonian(g: Graph, mode: str, u: int | None = None, v: int | None = None,
         if n < 3:
             return [0] if n == 1 else None
         for t in g.neighbors(0):
-            if t == 0:
-                continue
             got = _ham_path_from(g, 0, t, budget)
             if got:
                 return verify(got, closed=True)
@@ -600,27 +600,19 @@ def prism_ham_constructions(g: Graph, budget=None) -> PrismHamReport:
             ham_connected = {}
             for x in range(n):
                 for y in range(n):
-                    # same side 1: (x,1) .. (y,1)
+                    # same side: (x,1) .. (y,1) detours through the
+                    # complement's paths on side 2, (x,2) .. (y,2) through g's
                     if x < y:
-                        p = paths1[(x, y)]
-                        q = paths2[(x, p[1])]
-                        w = (
-                            [prism_index(x, 1, n)]
-                            + [prism_index(z, 2, n) for z in q]
-                            + [prism_index(z, 1, n) for z in p[1:]]
-                        )
-                        key = (prism_index(x, 1, n), prism_index(y, 1, n))
-                        ham_connected[key] = pverify(w, *key)
-                        # same side 2: mirrored through the complement
-                        p = paths2[(x, y)]
-                        q = paths1[(x, p[1])]
-                        w = (
-                            [prism_index(x, 2, n)]
-                            + [prism_index(z, 1, n) for z in q]
-                            + [prism_index(z, 2, n) for z in p[1:]]
-                        )
-                        key = (prism_index(x, 2, n), prism_index(y, 2, n))
-                        ham_connected[key] = pverify(w, *key)
+                        for side, own, other in ((1, paths1, paths2), (2, paths2, paths1)):
+                            p = own[(x, y)]
+                            q = other[(x, p[1])]
+                            w = (
+                                [prism_index(x, side, n)]
+                                + [prism_index(c, 3 - side, n) for c in q]
+                                + [prism_index(c, side, n) for c in p[1:]]
+                            )
+                            key = (prism_index(x, side, n), prism_index(y, side, n))
+                            ham_connected[key] = pverify(w, *key)
                     # cross pair: (x,1) .. (y,2) through a third vertex z
                     z = next(c for c in range(n) if c not in (x, y))
                     p = paths1[(x, z)]
@@ -658,9 +650,6 @@ def bound_checks(g: Graph) -> BoundCheckReport:
       clique-coclique bound is tight, every color class must have exactly
       alpha vertices.
     """
-    from .morphisms import is_vertex_transitive
-    from .spectral import srg_analysis
-
     n = g.n
     comp = g.complement()
     inv = invariants(g)
@@ -742,8 +731,6 @@ def kneser_facts() -> KneserFactsReport:
     edge between {1,2,3,4} and {2,3,4,5}.  Chromatic lower bounds are
     recorded as cited, not verified.
     """
-    from .families import colex_subsets, kneser_graph
-
     k = kneser_graph(10, 4)
     subsets = colex_subsets(10, 4)  # 4-subsets of {1..10} in colex order
     omega = len(max_clique(k))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prismatic import prisms
 from prismatic.families import FamilySpec, family_graph, figure_f9, paley_graph, petersen_graph
 from prismatic.graphs import (
+    Graph,
     build_graph,
     complementary_prism,
     complete_graph,
@@ -27,6 +29,7 @@ from prismatic.morphisms import (
 )
 from prismatic.prisms import (
     CoreCaseViolation,
+    FamilyMatch,
     classify_core_case,
     detect_family,
     not_lex_product_check,
@@ -157,6 +160,54 @@ def test_detection_finds_relabelled_family_members(case):
         assert reconstruct_from_match(m).adj == g.adj
         if m.kind == kind:
             assert find_isomorphisms(inner, m.inner, limit=1)
+
+
+def all_quadruples_kinds(g):
+    # every ordered quadruple of distinct vertices as (y, v, u, z), the rest
+    # as the inner graph, kept when the rebuild gives g back
+    kinds = set()
+    for kind in ("C5", "A"):
+        for outer in itertools.permutations(range(g.n), 4):
+            rest = tuple(x for x in range(g.n) if x not in outer)
+            if reconstruct_from_match(FamilyMatch(kind, g.induced(rest), rest, outer)) == g:
+                kinds.add(kind)
+                break
+    return kinds
+
+
+def flip(g, pairs):
+    adj = list(g.adj)
+    for a, b in pairs:
+        adj[a] ^= 1 << b
+        adj[b] ^= 1 << a
+    return Graph(g.n, adj)
+
+
+def test_detection_agrees_with_all_quadruples_on_members_and_near_members():
+    # each seeded relabelled member also with one pair flipped, and with one
+    # degree-preserving 2-switch (edges ab, cd become ac, bd), which keeps
+    # the outer degrees and so reaches the rebuild check
+    rng = random.Random(15)
+    seen = []
+    for n in range(7, 10):
+        for kind in ("C5", "A"):
+            k = n - 4
+            inner = build_graph(
+                k, [p for p in itertools.combinations(range(k), 2) if rng.random() < 0.5]
+            )
+            g = family_graph(FamilySpec(kind, inner)).relabel(rng.sample(range(n), n))
+            edges = list(g.edges())
+            while True:
+                (a, b), (c, d) = rng.sample(edges, 2)
+                if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+                    break
+            near = [flip(g, [rng.sample(range(n), 2)]), flip(g, [(a, b), (c, d), (a, c), (b, d)])]
+            for h in [g] + near:
+                expected = all_quadruples_kinds(h)
+                assert {m.kind for m in detect_family(h)} == expected, h.adj
+                seen.append(bool(expected))
+    # every member is found, and the near members hold both outcomes
+    assert all(seen[0::3]) and {*seen[1::3], *seen[2::3]} == {False, True}
 
 
 # -- the special prism automorphism -------------------------------------------
