@@ -36,6 +36,8 @@ from .graphio import parse_graph6, write_graph6
 from .graphs import Graph, build_graph, complementary_prism, complete_graph, cycle_graph
 from .morphisms import (
     BudgetExhausted,
+    Permutation,
+    SearchBudget,
     antimorphism_facts,
     automorphism_group,
     compute_core,
@@ -84,13 +86,10 @@ def precondition():
 
 
 def _json_default(obj):
+    """Encode the one non-JSON value that reports hold, a Fraction."""
     if isinstance(obj, Fraction):
         return {"numerator": obj.numerator, "denominator": obj.denominator, "str": str(obj)}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
-    return str(obj)
+    raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 
 def emit(report: dict) -> None:
@@ -99,15 +98,19 @@ def emit(report: dict) -> None:
 
 
 def load_graph(args) -> Graph:
-    sources = [s for s in (getattr(args, "name", None), getattr(args, "g6", None)) if s]
-    if len(sources) > 1:
+    """The graph named by --name or --g6, else one graph6 line from stdin.
+
+    A flag given with an empty value is an input like any other, so it is
+    rejected rather than falling through to stdin.
+    """
+    if args.name is not None and args.g6 is not None:
         raise InputError("give at most one of --name / --g6")
-    if getattr(args, "name", None):
+    if args.name is not None:
         try:
             return named_graph(args.name)
         except (KeyError, ValueError) as e:
             raise InputError(f"unknown constructor {args.name!r}: {e}") from e
-    if getattr(args, "g6", None):
+    if args.g6 is not None:
         try:
             return parse_graph6(args.g6)
         except ValueError as e:
@@ -218,7 +221,7 @@ def cmd_core(args) -> int:
         base = g
         with precondition():  # the null graph has no prism
             g = complementary_prism(base)
-    rep = compute_core(g, budget=args.budget_nodes)
+    rep = compute_core(g, budget=SearchBudget(args.budget_nodes))
     report = {
         "command": "core",
         "n": g.n,
@@ -364,7 +367,7 @@ def cmd_hamilton(args) -> int:
     report = {"command": "hamilton", "n": g.n}
     if not args.constructions:
         report["mode"] = args.mode
-    budget = args.budget_nodes
+    budget = SearchBudget(args.budget_nodes)
     try:
         if args.constructions:
             with precondition():  # the null graph has no prism
@@ -427,8 +430,7 @@ def cmd_invariants(args) -> int:
 
 def _verify_exa1() -> dict:
     g = exa1_graph()
-    sigma = exa1_antimorphism()
-    order, fixed = antimorphism_facts(sigma, g)
+    order, fixed = antimorphism_facts(Permutation(exa1_antimorphism()), g)
     prism = complementary_prism(g)
     psi = exa1_prism_retraction()
     image = sorted(set(psi))

@@ -73,8 +73,7 @@ def family_graph(spec: FamilySpec) -> Graph:
     else:
         edges += [(v, g) for g in range(L)]
         edges += [(u, g) for g in range(L)]
-    name = f"{spec.kind}({inner.name or f'{L} vertices'})"
-    return build_graph(L + 4, edges, name=name)
+    return build_graph(L + 4, edges)
 
 
 def pendant_pair_graph(inner: Graph) -> Graph:
@@ -101,7 +100,7 @@ def paley_graph(q: int) -> Graph:
         raise ValueError(f"Paley graph needs q = 1 (mod 4), got {q}")
     squares = field.nonzero_squares()
     rows = [sum(1 << field.add(a, s) for s in squares) for a in range(q)]
-    return Graph._trusted(q, rows, name=f"paley({q})")
+    return Graph._trusted(q, rows)
 
 
 def colex_subsets(n: int, r: int) -> list[frozenset[int]]:
@@ -123,12 +122,12 @@ def kneser_graph(n: int, r: int) -> Graph:
     subs = colex_subsets(n, r)
     lacking = [sum(1 << j for j, s in enumerate(subs) if x not in s) for x in range(n + 1)]
     rows = [reduce(and_, [lacking[x] for x in s]) for s in subs]
-    return Graph._trusted(len(subs), rows, name=f"kneser({n},{r})")
+    return Graph._trusted(len(subs), rows)
 
 
 def petersen_graph() -> Graph:
-    g = kneser_graph(5, 2)
-    return Graph._trusted(g.n, g.adj, name="petersen")
+    """The Petersen graph, as the Kneser graph K(5, 2)."""
+    return kneser_graph(5, 2)
 
 
 # The Cayley graph on the additive group of GF(49) x GF(4) with connection
@@ -157,7 +156,7 @@ def _cayley_rows(pairs) -> list[int]:
 def cay_f49xf4() -> Graph:
     """Standalone copy of the 196-vertex Cayley graph (two components)."""
     pairs = [(x, y) for y in range(4) for x in range(49)]
-    return Graph._trusted(196, _cayley_rows(pairs), name="cay_f49xf4")
+    return Graph._trusted(196, _cayley_rows(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,7 @@ def figure_f9(index: int) -> Graph:
     """
     if index not in (1, 2, 3, 4):
         raise ValueError("figure_f9 index must be 1, 2, 3 or 4")
-    g = load_fixture(f"f9_{index}")
-    return Graph._trusted(g.n, g.adj, name=f"figure_f9({index})")
+    return load_fixture(f"f9_{index}")
 
 
 def exa1_graph() -> Graph:
@@ -182,8 +180,7 @@ def exa1_graph() -> Graph:
     Vertices 0..4 induce a K5; the complementary prism of this graph
     retracts onto that K5 (see ``exa1_prism_retraction``).
     """
-    g = load_fixture("f10")
-    return Graph._trusted(g.n, g.adj, name="exa1")
+    return load_fixture("f10")
 
 
 def exa1_antimorphism() -> list[int]:
@@ -305,11 +302,11 @@ def mysterious505() -> Mysterious505:
     rows += [row << 309 | v_all & ~(1 << t % 97) for t, row in enumerate(cayley[:194])]
     rows += [cayley[194] << 309 | v_97 | 1 << u1, cayley[195] << 309 | v_97 | 1 << u2]
 
-    graph = Graph._trusted(505, rows, name="mysterious505")
+    graph = Graph._trusted(505, rows)
     return Mysterious505(graph, v_ids, kneser_ids, u1, u2, w_ids, w_pairs)
 
 
-def mysterious505_prism_retraction(layout: Mysterious505 | None = None) -> list[int]:
+def mysterious505_prism_retraction(layout: Mysterious505) -> list[int]:
     """Retraction of the complementary prism of ``mysterious505`` onto 519 vertices.
 
     The image consists of the side-1 copy of the Kneser block together with
@@ -324,8 +321,6 @@ def mysterious505_prism_retraction(layout: Mysterious505 | None = None) -> list[
       (v54..v57, 2) and j = 147..150 go to (v58..v61, 2).
     * (vi, 1) goes to (v62, 2), except (v62, 1) which goes to (v63, 2).
     """
-    if layout is None:
-        layout = mysterious505()
     n = layout.graph.n
 
     def side2(base: int) -> int:

@@ -100,9 +100,9 @@ def parse_graph6(text: str) -> Graph:
     return Graph._trusted(n, adj)
 
 
-def write_dot(g: Graph, name: str = "G") -> str:
+def write_dot(g: Graph) -> str:
     """Lossy pretty-printer (labels only, no layout).  graph6 is canonical."""
-    lines = ["graph %s {" % (g.name or name)]
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append("  %d;" % v)
     for u, v in g.edges():
@@ -111,7 +111,7 @@ def write_dot(g: Graph, name: str = "G") -> str:
     return "\n".join(lines)
 
 
-def parse_grid(text: str, name: str = "") -> Graph:
+def parse_grid(text: str) -> Graph:
     """Parse a whitespace-separated 0/1 adjacency grid (fixture format)."""
     rows = []
     for line in text.strip().splitlines():
@@ -119,10 +119,10 @@ def parse_grid(text: str, name: str = "") -> Graph:
         if not entries:
             continue
         rows.append([int(tok) for tok in entries])
-    return from_adjacency(rows, name)
+    return from_adjacency(rows)
 
 
 def load_fixture(stem: str) -> Graph:
     """Load a packaged data/<stem>.txt adjacency grid."""
     text = files("prismatic.data").joinpath(stem + ".txt").read_text()
-    return parse_grid(text, stem)
+    return parse_grid(text)

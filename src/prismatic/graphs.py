@@ -15,8 +15,7 @@ skips that quadratic check:
 * ``empty_graph`` and ``complete_graph`` are fixed patterns;
 * ``complement``, ``induced``, ``relabel`` (once it has checked that it got a
   permutation), ``complementary_prism`` and ``lexicographic_product`` keep
-  both properties of graphs that already have them, and so do the
-  renaming re-wraps in ``families``;
+  both properties of graphs that already have them;
 * the Paley, Kneser and Cayley rows in ``families``, and the 505-vertex
   example's rows, are built symmetric from their definitions (translates of
   a symmetric set, disjointness, and blocks with their cross edges listed
@@ -30,10 +29,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -45,9 +40,9 @@ def bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph."""
 
-    __slots__ = ("n", "adj", "name")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: Sequence[int], name: str = ""):
+    def __init__(self, n: int, adj: Sequence[int]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(adj) != n:
@@ -63,17 +58,15 @@ class Graph:
                     raise ValueError("asymmetric adjacency at (%d, %d)" % (v, u))
         self.n = n
         self.adj = tuple(adj)
-        self.name = name
 
     @classmethod
-    def _trusted(cls, n: int, adj: Sequence[int], name: str = "") -> "Graph":
+    def _trusted(cls, n: int, adj: Sequence[int]) -> "Graph":
         """Wrap rows that are symmetric and loop-free by construction, unchecked."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         g = object.__new__(cls)
         g.n = n
         g.adj = tuple(adj)
-        g.name = name
         return g
 
     # -- basic queries ------------------------------------------------------
@@ -81,11 +74,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
-
     def degrees(self) -> list[int]:
-        return [_popcount(row) for row in self.adj]
+        return [row.bit_count() for row in self.adj]
 
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.adj[v]))
@@ -109,17 +99,16 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
-        label = self.name or "graph"
-        return "<%s n=%d m=%d>" % (label, self.n, self.edge_count())
+        return "<graph n=%d m=%d>" % (self.n, self.edge_count())
 
     # -- derived graphs -----------------------------------------------------
 
-    def complement(self, name: str = "") -> "Graph":
+    def complement(self) -> "Graph":
         full = (1 << self.n) - 1
         adj = [full & ~row & ~(1 << v) for v, row in enumerate(self.adj)]
-        return Graph._trusted(self.n, adj, name or (self.name + "~" if self.name else ""))
+        return Graph._trusted(self.n, adj)
 
-    def induced(self, vertices: Iterable[int], name: str = "") -> "Graph":
+    def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is sorted(vertices)[i]."""
         keep = sorted(set(vertices))
         if keep and not (0 <= keep[0] and keep[-1] < self.n):
@@ -130,9 +119,9 @@ class Graph:
             for u in bits(self.adj[v]):
                 if u in index:
                     adj[i] |= 1 << index[u]
-        return Graph._trusted(len(keep), adj, name)
+        return Graph._trusted(len(keep), adj)
 
-    def relabel(self, perm: Sequence[int], name: str = "") -> "Graph":
+    def relabel(self, perm: Sequence[int]) -> "Graph":
         """Image graph under the bijection v -> perm[v]."""
         if len(perm) != self.n or set(perm) != set(range(self.n)):
             raise ValueError("relabelling is not a permutation of range(%d)" % self.n)
@@ -142,25 +131,28 @@ class Graph:
             for u in bits(self.adj[v]):
                 row |= 1 << perm[u]
             adj[perm[v]] = row
-        return Graph._trusted(self.n, adj, name)
+        return Graph._trusted(self.n, adj)
 
     # -- traversal ----------------------------------------------------------
 
-    def component_mask(self, start: int) -> int:
+    def component_mask(self, start: int, within: int) -> int:
+        """Bitmask of the vertices reachable from ``start`` through the
+        vertices in the bitmask ``within``, ``start`` included."""
         seen = 1 << start
-        frontier = 1 << start
+        frontier = seen
         while frontier:
             nxt = 0
             for v in bits(frontier):
                 nxt |= self.adj[v]
-            frontier = nxt & ~seen
+            frontier = nxt & within & ~seen
             seen |= frontier
         return seen
 
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        return self.component_mask(0) == (1 << self.n) - 1
+        full = (1 << self.n) - 1
+        return self.component_mask(0, full) == full
 
     def bfs_distances(self, start: int) -> list[int]:
         dist = [-1] * self.n
@@ -190,19 +182,11 @@ class Graph:
             best = max(best, max(self.bfs_distances(v)))
         return best
 
-    def triangles(self) -> Iterator[tuple[int, int, int]]:
-        for v in range(self.n):
-            for u in bits(self.adj[v] >> (v + 1)):
-                u += v + 1
-                common = self.adj[v] & self.adj[u]
-                for w in bits(common >> (u + 1)):
-                    yield (v, u, w + u + 1)
-
 
 # -- constructors ------------------------------------------------------------
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph from an edge list; rejects loops and out-of-range endpoints."""
     adj = [0] * n
     for pair in edges:
@@ -213,10 +197,10 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Gra
             raise ValueError("edge %r out of range for n=%d" % (pair, n))
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph._trusted(n, adj, name)
+    return Graph._trusted(n, adj)
 
 
-def from_adjacency(rows: Sequence[Sequence[int]], name: str = "") -> Graph:
+def from_adjacency(rows: Sequence[Sequence[int]]) -> Graph:
     n = len(rows)
     adj = []
     for row in rows:
@@ -228,36 +212,36 @@ def from_adjacency(rows: Sequence[Sequence[int]], name: str = "") -> Graph:
                 raise ValueError("matrix entries must be 0/1")
             mask |= bit << u
         adj.append(mask)
-    return Graph(n, adj, name)
+    return Graph(n, adj)
 
 
-def empty_graph(n: int, name: str = "") -> Graph:
-    return Graph._trusted(n, [0] * n, name or ("K~%d" % n))
+def empty_graph(n: int) -> Graph:
+    return Graph._trusted(n, [0] * n)
 
 
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph._trusted(n, [full & ~(1 << v) for v in range(n)], "K%d" % n)
+    return Graph._trusted(n, [full & ~(1 << v) for v in range(n)])
 
 
 def path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)], "P%d" % n)
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need at least 3 vertices")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)], "C%d" % n)
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """K_{1,n-1}: hub 0 joined to 1..n-1."""
     if n < 1:
         raise ValueError("star needs at least 1 vertex")
-    return build_graph(n, [(0, i) for i in range(1, n)], "K1,%d" % (n - 1))
+    return build_graph(n, [(0, i) for i in range(1, n)])
 
 
-def complementary_prism(g: Graph, name: str = "") -> Graph:
+def complementary_prism(g: Graph) -> Graph:
     """Disjoint union of g and its complement plus the perfect matching.
 
     Vertex (v,1) keeps index v; vertex (v,2) gets index n+v.  The matching
@@ -271,7 +255,7 @@ def complementary_prism(g: Graph, name: str = "") -> Graph:
     for v in range(n):
         adj[v] = g.adj[v] | (1 << (n + v))
         adj[n + v] = (comp.adj[v] << n) | (1 << v)
-    return Graph._trusted(2 * n, adj, name or ((g.name + "-prism") if g.name else "prism"))
+    return Graph._trusted(2 * n, adj)
 
 
 def prism_index(v: int, side: int, n: int) -> int:
@@ -281,7 +265,7 @@ def prism_index(v: int, side: int, n: int) -> int:
     return v if side == 1 else n + v
 
 
-def lexicographic_product(g1: Graph, g2: Graph, name: str = "") -> Graph:
+def lexicographic_product(g1: Graph, g2: Graph) -> Graph:
     """g1[g2]: (a,b) ~ (c,d) iff a~c, or a=c and b~d.  Index (a,b) = a*|V2|+b."""
     n1, n2 = g1.n, g2.n
     n = n1 * n2
@@ -293,4 +277,4 @@ def lexicographic_product(g1: Graph, g2: Graph, name: str = "") -> Graph:
             row_blocks |= block << (c * n2)
         for b in range(n2):
             adj[a * n2 + b] = row_blocks | (g2.adj[b] << (a * n2))
-    return Graph._trusted(n, adj, name)
+    return Graph._trusted(n, adj)

@@ -21,6 +21,7 @@ verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import inf, lcm
 
@@ -44,19 +45,14 @@ class SearchBudget:
         self.remaining = limit
         self.nodes = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.nodes += amount
+    def spend(self) -> None:
+        """Count one node; BudgetExhausted once the limit is passed."""
+        self.nodes += 1
         if self.remaining is None:
             return
-        self.remaining -= amount
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExhausted("search budget exhausted")
-
-
-def _as_budget(budget) -> SearchBudget:
-    if budget is None or isinstance(budget, SearchBudget):
-        return budget or SearchBudget()
-    return SearchBudget(int(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +295,7 @@ def is_self_complementary(g: Graph) -> bool:
     return bool(find_antimorphisms(g, limit=1))
 
 
-def antimorphism_facts(sigma, g: Graph) -> tuple[int, tuple[int, ...]]:
+def antimorphism_facts(sigma: Permutation, g: Graph) -> tuple[int, tuple[int, ...]]:
     """Order and fixed points of a verified antimorphism of g.
 
     For a self-complementary graph on more than one vertex the order is
@@ -307,10 +303,9 @@ def antimorphism_facts(sigma, g: Graph) -> tuple[int, tuple[int, ...]]:
     exactly one fixed point.  Raises ValueError if sigma is not an
     antimorphism of g.
     """
-    perm = sigma if isinstance(sigma, Permutation) else Permutation(tuple(sigma))
-    if not is_antimorphism_map(g, perm.image):
+    if not is_antimorphism_map(g, sigma.image):
         raise ValueError("map is not an antimorphism of the graph")
-    return perm.order(), perm.fixed_points()
+    return sigma.order(), sigma.fixed_points()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +317,7 @@ def find_homomorphism(
     g1: Graph,
     g2: Graph,
     constraints: dict[int, int] | None = None,
-    budget: SearchBudget | int | None = None,
+    budget: SearchBudget | None = None,
 ) -> VertexMap | None:
     """Find a homomorphism g1 -> g2 extending ``constraints``, or prove none.
 
@@ -330,7 +325,7 @@ def find_homomorphism(
     Raises BudgetExhausted if a node budget is given and runs out, and
     ValueError for a contradictory partial map.
     """
-    budget = _as_budget(budget)
+    budget = budget or SearchBudget()
     n1, n2 = g1.n, g2.n
     if n1 == 0:
         return VertexMap(0, n2, ())
@@ -448,13 +443,13 @@ class CoreReport:
     status: str
 
 
-def verify_retraction(g: Graph, psi, claimed_core) -> bool:
-    """Check that psi is a retraction of g onto ``claimed_core``.
+def verify_retraction(g: Graph, image: Sequence[int], claimed_core) -> bool:
+    """Check that the map v -> image[v] is a retraction of g onto
+    ``claimed_core``.
 
-    True iff psi is total on V(g), edge-preserving, has image inside
+    True iff the map is total on V(g), edge-preserving, has image inside
     claimed_core, and fixes claimed_core pointwise.
     """
-    image = list(psi.image if isinstance(psi, VertexMap) else psi)
     core = set(claimed_core)
     if len(image) != g.n:
         return False
@@ -496,8 +491,8 @@ def _stabilized_retraction(g: Graph, endo: list[int]) -> tuple[list[int], list[i
 
 def compute_core(
     g: Graph,
-    budget: SearchBudget | int | None = None,
-    seed_endomorphisms=None,
+    budget: SearchBudget | None = None,
+    seed_endomorphisms: Sequence[Sequence[int]] = (),
 ) -> CoreReport:
     """Compute a core of g together with a retraction onto it.
 
@@ -522,7 +517,7 @@ def compute_core(
     status "unknown" and carries the best retraction found so far.
     """
     n = g.n
-    budget = _as_budget(budget)
+    budget = budget or SearchBudget()
     psi = list(range(n))
     current = sorted(set(psi))
 
@@ -532,8 +527,7 @@ def compute_core(
         psi = [rho[psi[x]] for x in range(n)]
         current = image
 
-    for seed in seed_endomorphisms or []:
-        seed = list(seed.image if isinstance(seed, VertexMap) else seed)
+    for seed in seed_endomorphisms:
         if not is_homomorphism(g, g, seed):
             raise ValueError("seed map is not an endomorphism")
         fold_full([seed[psi[x]] for x in range(n)])
@@ -569,7 +563,7 @@ def compute_core(
             break
 
     retraction = VertexMap(n, n, tuple(psi))
-    if not verify_retraction(g, retraction, current):
+    if not verify_retraction(g, psi, current):
         raise AssertionError("computed map failed retraction verification")
     return CoreReport(
         core_vertices=tuple(current),
@@ -609,9 +603,9 @@ class GroupDescription:
     def is_transitive(self) -> bool:
         return len(self.orbits) == 1
 
-    def __contains__(self, perm) -> bool:
+    def __contains__(self, perm: Permutation) -> bool:
         """Membership by sifting through the stabilizer chain."""
-        h = tuple(perm.image if isinstance(perm, Permutation) else perm)
+        h = perm.image
         if len(h) != self.degree:
             return False
         for b, level in zip(self.base, self.transversals):
@@ -735,17 +729,13 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int):
     return tuple(base), tuple(trans)
 
 
-def group_tools(generators, degree: int | None = None) -> GroupDescription:
-    """The group generated by ``generators``, with its stabilizer chain.
+def group_tools(generators, degree: int) -> GroupDescription:
+    """The group generated by ``generators``, permutations of
+    {0..degree-1}, with its stabilizer chain.
 
-    Identity generators and duplicates are dropped.  ``degree`` is needed
-    only when there are no generators.
+    Identity generators and duplicates are dropped.
     """
     uniq = {p.image: p for p in generators}
-    if degree is None:
-        if not uniq:
-            raise ValueError("need a generator or a degree")
-        degree = len(next(iter(uniq)))
     if any(len(image) != degree for image in uniq):
         raise ValueError("degree mismatch")
     uniq.pop(tuple(range(degree)), None)
@@ -825,7 +815,7 @@ def automorphism_group(g: Graph) -> GroupDescription:
     ``automorphism_generators`` with their Schreier-Sims chain, whose order
     must equal the search's product of orbit sizes."""
     gens, order = automorphism_generators(g)
-    group = group_tools(gens, degree=g.n)
+    group = group_tools(gens, g.n)
     if group.order != order:
         raise AssertionError("Schreier-Sims order disagrees with the search's orbit sizes")
     return group

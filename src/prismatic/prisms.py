@@ -29,7 +29,7 @@ nontrivial lexicographic product.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .families import FamilySpec, colex_subsets, family_graph, kneser_graph
@@ -289,7 +289,7 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
     for p in generators:
         if not is_isomorphism_map(prism, prism, p.image):
             raise AssertionError("structured generator failed verification")
-    group = group_tools(generators, degree=2 * n)
+    group = group_tools(generators, 2 * n)
     return PrismStructure(g, matches, base_group, anti, group, ratio)
 
 
@@ -359,15 +359,14 @@ class CoreCase:
     """Which of the five core shapes a computed prism core realizes.
 
     For the two partition cases the sets V1, V2, V3 partition the base
-    vertex set and ``property_checks`` records the verified structural
-    properties (b)-(e).
+    vertex set; ``classify_core_case`` has verified the structural
+    properties (b)-(e) of the partition before returning it.
     """
 
     case: str
     V1: tuple[int, ...] = ()
     V2: tuple[int, ...] = ()
     V3: tuple[int, ...] = ()
-    property_checks: dict = field(default_factory=dict)
 
 
 def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
@@ -384,7 +383,7 @@ def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
     if report.status != "ok":
         raise ValueError("cannot classify an incomplete core computation")
     prism = complementary_prism(g)
-    if not verify_retraction(prism, report.retraction, report.core_vertices):
+    if not verify_retraction(prism, report.retraction.image, report.core_vertices):
         raise ValueError("report does not carry a retraction of the prism onto its core")
     core = set(report.core_vertices)
     U1 = {v for v in range(n) if v in core}
@@ -450,7 +449,6 @@ def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
         V1=tuple(sorted(V1)),
         V2=tuple(sorted(V2)),
         V3=tuple(sorted(V3)),
-        property_checks=checks,
     )
 
 

@@ -82,7 +82,8 @@ def prism_spectrum_closed_form(g: Graph) -> SpectrumReport:
         values.append((-1 + d) / 2)
         values.append((-1 - d) / 2)
     values.sort(reverse=True)
-    assert len(values) == 2 * n
+    if len(values) != 2 * n:
+        raise AssertionError("closed form gives the wrong number of eigenvalues")
     return SpectrumReport(n=2 * n, eigenvalues=tuple(values))
 
 

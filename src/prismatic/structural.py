@@ -19,7 +19,7 @@ import numpy as np
 
 from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
-from .morphisms import SearchBudget, _as_budget, find_homomorphism, is_vertex_transitive
+from .morphisms import SearchBudget, find_homomorphism, is_vertex_transitive
 from .spectral import srg_analysis
 
 
@@ -90,7 +90,7 @@ CHROMATIC_EXACT_MAX_N = 48
 
 
 def chromatic_number(
-    g: Graph, *, clique: tuple[int, ...] | None = None, indep: tuple[int, ...] | None = None
+    g: Graph, *, clique: tuple[int, ...], indep: tuple[int, ...]
 ) -> tuple[int, list[int], bool]:
     """(chi, proper coloring with colors 1..chi, exact flag).
 
@@ -103,14 +103,11 @@ def chromatic_number(
     The tests check chi against a plain backtracking search, _k_colorable.
 
     ``clique`` and ``indep`` are a maximum clique and a maximum independent
-    set of g when the caller has them already (``invariants`` does); they
-    are computed here otherwise.
+    set of g, which the caller (``invariants``) has found already.
     """
     n = g.n
     if n == 0:
         return 0, [], True
-    clique = max_clique(g) if clique is None else clique
-    indep = max_independent_set(g) if indep is None else indep
     lb = max(len(clique), -(-n // len(indep)))
     coloring = _dsatur_coloring(g)
     ub = max(coloring)
@@ -228,9 +225,10 @@ def vertex_connectivity(g: Graph) -> tuple[int, tuple[int, ...] | None]:
         f, cut = _maxflow_vertex_disjoint(network, s, t, best)
         if cut is not None:
             best, best_cut = f, cut
-    assert len(best_cut) == best, "cut witness has the wrong size"
-    removed = g.induced(sorted(set(range(n)) - best_cut))
-    assert not removed.is_connected(), "cut witness failed to disconnect"
+    if len(best_cut) != best:
+        raise AssertionError("cut witness has the wrong size")
+    if g.induced(sorted(set(range(n)) - best_cut)).is_connected():
+        raise AssertionError("cut witness failed to disconnect")
     return best, tuple(sorted(best_cut))
 
 
@@ -267,19 +265,20 @@ class InvariantReport:
 def invariants(g: Graph) -> InvariantReport:
     """alpha, omega, chi, kappa with verifying witnesses."""
     clique = max_clique(g)
-    for a, b in combinations(clique, 2):
-        assert g.has_edge(a, b)
+    if not all(g.has_edge(a, b) for a, b in combinations(clique, 2)):
+        raise AssertionError("clique witness has a non-edge")
     indep = max_independent_set(g)
-    for a, b in combinations(indep, 2):
-        assert not g.has_edge(a, b)
+    if any(g.has_edge(a, b) for a, b in combinations(indep, 2)):
+        raise AssertionError("independent set witness has an edge")
     chi, coloring, exact = chromatic_number(g, clique=clique, indep=indep)
-    for v, u in g.edges():
-        assert coloring[v] != coloring[u]
+    if any(coloring[v] == coloring[u] for v, u in g.edges()):
+        raise AssertionError("coloring witness is not proper")
     kappa, cut = vertex_connectivity(g)
     alpha, omega = len(indep), len(clique)
-    assert chi >= omega
-    if alpha:
-        assert chi >= -(-g.n // alpha)  # chi >= n / alpha
+    if chi < omega:
+        raise AssertionError("chromatic number below the clique number")
+    if alpha and chi < -(-g.n // alpha):  # chi >= n / alpha
+        raise AssertionError("chromatic number below n / alpha")
     return InvariantReport(
         alpha=alpha,
         omega=omega,
@@ -318,7 +317,8 @@ def _report_for(g: Graph, s_mask: int, method: str) -> CheegerReport:
     s = tuple(sorted(bits(s_mask)))
     t = tuple(sorted(set(range(g.n)) - set(s)))
     value = Fraction(_edge_boundary(g, s_mask), len(s))
-    assert 1 <= len(s) <= len(t)
+    if not 1 <= len(s) <= len(t):
+        raise AssertionError("Cheeger witness side S is empty or larger than T")
     return CheegerReport(value=value, witness=(s, t), method=method)
 
 
@@ -352,11 +352,13 @@ def cheeger_closed_form(g: Graph) -> CheegerReport:
                 if w != v:
                     s_mask |= 1 << prism_index(w, side_rest, n)
             report = _report_for(prism, s_mask, "closed_form")
-            assert report.value == Fraction(n - 1, n)
+            if report.value != Fraction(n - 1, n):
+                raise AssertionError("closed-form Cheeger witness does not give (n-1)/n")
             return report
     s_mask = (1 << n) - 1  # all of side 1; boundary is exactly the matching
     report = _report_for(prism, s_mask, "closed_form")
-    assert report.value == 1
+    if report.value != 1:
+        raise AssertionError("closed-form Cheeger witness does not give 1")
     return report
 
 
@@ -421,7 +423,8 @@ def cheeger_brute_force(g: Graph) -> CheegerReport:
         if least[size] * best_s == best_e * size
     )
     report = _report_for(g, witness, "brute_force")
-    assert report.value == Fraction(best_e, best_s)
+    if report.value != Fraction(best_e, best_s):
+        raise AssertionError("brute-force Cheeger witness disagrees with the table")
     return report
 
 
@@ -430,16 +433,22 @@ def cheeger_brute_force(g: Graph) -> CheegerReport:
 # ---------------------------------------------------------------------------
 
 
-def _reachable_mask(g: Graph, start: int, allowed: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj[v] & allowed & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
+def _check_ham_path(
+    g: Graph, path: list[int], ends: tuple[int, int] | None = None, closed: bool = False
+) -> list[int]:
+    """Return ``path`` once it is verified edge by edge as a Hamiltonian path
+    of g: from ``ends[0]`` to ``ends[1]`` when ``ends`` is given, and closing
+    into a Hamiltonian cycle when ``closed``.  AssertionError otherwise."""
+    if sorted(path) != list(range(g.n)):
+        raise AssertionError("Hamiltonian witness does not visit every vertex once")
+    for a, b in zip(path, path[1:]):
+        if not g.has_edge(a, b):
+            raise AssertionError(f"Hamiltonian witness uses the non-edge {(a, b)}")
+    if ends is not None and (path[0], path[-1]) != ends:
+        raise AssertionError(f"Hamiltonian witness does not run between {ends}")
+    if closed and not g.has_edge(path[-1], path[0]):
+        raise AssertionError("Hamiltonian cycle witness does not close")
+    return path
 
 
 def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget):
@@ -452,7 +461,7 @@ def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget):
         remaining = full & ~visited
         if not remaining:
             return False
-        reach = _reachable_mask(g, current, remaining | (1 << current))
+        reach = g.component_mask(current, remaining)
         if remaining & ~reach:
             return True
         # a vertex with no unvisited neighbors can only be terminal
@@ -486,7 +495,13 @@ def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget):
     return list(path) if rec(start, 1 << start) else None
 
 
-def hamiltonian(g: Graph, mode: str, u: int | None = None, v: int | None = None, budget=None):
+def hamiltonian(
+    g: Graph,
+    mode: str,
+    u: int | None = None,
+    v: int | None = None,
+    budget: SearchBudget | None = None,
+):
     """Hamiltonian search: mode is "path", "cycle", "path_between" (with
     endpoints u, v) or "connected" (every pair, returns a dict of verified
     paths or None).
@@ -496,16 +511,7 @@ def hamiltonian(g: Graph, mode: str, u: int | None = None, v: int | None = None,
     means no conclusion).
     """
     n = g.n
-    budget = _as_budget(budget)
-
-    def verify(path, closed=False):
-        assert sorted(path) == list(range(n))
-        for a, b in zip(path, path[1:]):
-            assert g.has_edge(a, b), (a, b)
-        if closed and n > 1:
-            assert g.has_edge(path[-1], path[0])
-        return path
-
+    budget = budget or SearchBudget()
     if mode == "path":
         if n == 0:
             return None
@@ -514,7 +520,7 @@ def hamiltonian(g: Graph, mode: str, u: int | None = None, v: int | None = None,
         for s in range(n):
             got = _ham_path_from(g, s, None, budget)
             if got:
-                return verify(got)
+                return _check_ham_path(g, got)
         return None
     if mode == "cycle":
         if n < 3:
@@ -522,7 +528,7 @@ def hamiltonian(g: Graph, mode: str, u: int | None = None, v: int | None = None,
         for t in g.neighbors(0):
             got = _ham_path_from(g, 0, t, budget)
             if got:
-                return verify(got, closed=True)
+                return _check_ham_path(g, got, closed=True)
         return None
     if mode == "path_between":
         if u is None or v is None or u == v:
@@ -530,7 +536,7 @@ def hamiltonian(g: Graph, mode: str, u: int | None = None, v: int | None = None,
         if n == 1:
             return None
         got = _ham_path_from(g, u, v, budget)
-        return verify(got) if got else None
+        return _check_ham_path(g, got, ends=(u, v)) if got else None
     if mode == "connected":
         out = {}
         for a in range(n):
@@ -550,7 +556,7 @@ class PrismHamReport:
     notes: tuple[str, ...] = ()
 
 
-def prism_ham_constructions(g: Graph, budget=None) -> PrismHamReport:
+def prism_ham_constructions(g: Graph, budget: SearchBudget | None = None) -> PrismHamReport:
     """Explicit prism Hamiltonian witnesses spliced from base-graph ones.
 
     The prism Hamiltonian path comes from Hamiltonian cycles of g and its
@@ -562,19 +568,12 @@ def prism_ham_constructions(g: Graph, budget=None) -> PrismHamReport:
     Every witness is verified against the actual prism.
     """
     n = g.n
-    budget = _as_budget(budget)  # one budget for all four searches
+    budget = budget or SearchBudget()  # one budget for all four searches
     prism = complementary_prism(g)
     notes: list[str] = []
     if n == 1:
         return PrismHamReport(p8_path=[0, 1], ham_connected={(0, 1): [0, 1]})
     comp = g.complement()
-
-    def pverify(path, a, b):
-        assert path[0] == a and path[-1] == b
-        assert sorted(path) == list(range(2 * n))
-        for x, y in zip(path, path[1:]):
-            assert prism.has_edge(x, y), (x, y)
-        return path
 
     cyc1 = hamiltonian(g, "cycle", budget=budget)
     cyc2 = hamiltonian(comp, "cycle", budget=budget)
@@ -583,7 +582,7 @@ def prism_ham_constructions(g: Graph, budget=None) -> PrismHamReport:
         at = cyc2.index(pivot)
         rot = cyc2[at:] + cyc2[:at]
         p8 = [prism_index(x, 1, n) for x in cyc1] + [prism_index(x, 2, n) for x in rot]
-        pverify(p8, prism_index(cyc1[0], 1, n), prism_index(rot[-1], 2, n))
+        _check_ham_path(prism, p8)
     else:
         p8 = None
         notes.append("missing a Hamiltonian cycle in the base graph or its complement")
@@ -612,14 +611,14 @@ def prism_ham_constructions(g: Graph, budget=None) -> PrismHamReport:
                                 + [prism_index(c, side, n) for c in p[1:]]
                             )
                             key = (prism_index(x, side, n), prism_index(y, side, n))
-                            ham_connected[key] = pverify(w, *key)
+                            ham_connected[key] = _check_ham_path(prism, w, ends=key)
                     # cross pair: (x,1) .. (y,2) through a third vertex z
                     z = next(c for c in range(n) if c not in (x, y))
                     p = paths1[(x, z)]
                     q = paths2[(z, y)]
                     w = [prism_index(c, 1, n) for c in p] + [prism_index(c, 2, n) for c in q]
                     key = (prism_index(x, 1, n), prism_index(y, 2, n))
-                    ham_connected[key] = pverify(w, *key)
+                    ham_connected[key] = _check_ham_path(prism, w, ends=key)
     else:
         notes.append("all-pairs construction needs at least three vertices")
     return PrismHamReport(p8_path=p8, ham_connected=ham_connected, notes=tuple(notes))
@@ -736,9 +735,10 @@ def kneser_facts() -> KneserFactsReport:
     omega = len(max_clique(k))
 
     family = [i for i, s in enumerate(subsets) if 1 in s]
-    assert len(family) == math.comb(9, 3)
-    for a, b in combinations(family, 2):
-        assert not k.has_edge(a, b), "intersecting sets must be complement-adjacent"
+    if len(family) != math.comb(9, 3):
+        raise AssertionError("the star at 1 does not have C(9, 3) members")
+    if any(k.has_edge(a, b) for a, b in combinations(family, 2)):
+        raise AssertionError("intersecting sets must be complement-adjacent")
 
     u1 = subsets.index(frozenset({1, 2, 3, 4}))
     u2 = subsets.index(frozenset({2, 3, 4, 5}))

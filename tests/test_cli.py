@@ -369,6 +369,13 @@ def assert_input_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--g6", "--name"])
+def test_empty_flag_value_is_rejected_not_read_from_stdin(capsys, monkeypatch, flag):
+    # a graph waits on stdin; the empty flag must not fall through to it
+    monkeypatch.setattr(sys, "stdin", io.StringIO("Dhc\n"))
+    assert_input_error(capsys, ["aut", flag, ""])
+
+
 def test_cheeger_brute_force_too_large_exits_2(capsys, monkeypatch):
     assert_input_error(capsys, ["cheeger", "--name", "paley:29"])
     assert_input_error(capsys, ["cheeger", "--name", "paley:13", "--prism", "--brute"])

@@ -153,7 +153,7 @@ def test_dot_output_mentions_all_edges():
     g = build_graph(3, [(0, 1), (1, 2)])
     dot = write_dot(g)
     assert "0 -- 1" in dot and "1 -- 2" in dot
-    assert "graph" in dot
+    assert dot.startswith("graph G {\n") and dot.endswith("\n}")
 
 
 def test_fixture_loading():

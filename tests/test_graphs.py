@@ -72,6 +72,18 @@ def test_connectivity_and_diameter():
     assert complete_graph(5).diameter() == 1
 
 
+def test_component_mask_stays_within_the_mask():
+    p5 = path_graph(5)
+    assert p5.component_mask(2, 0b11111) == 0b11111
+    # vertex 3 is outside the mask, so 4 is cut off; start is always in
+    assert p5.component_mask(2, 0b10111) == 0b00111
+    assert p5.component_mask(2, 0) == 0b00100
+
+
+def test_repr_gives_the_order_and_size():
+    assert repr(cycle_graph(5)) == "<graph n=5 m=5>"
+
+
 def test_prism_indexing_round_trip():
     n = 7
     for v in range(n):
@@ -102,16 +114,18 @@ def test_prism_sides_and_matching():
             assert pg.has_edge(v, n + u) == (v == u)
 
 
-def count(it):
-    return sum(1 for _ in it)
+def triangles(g):
+    return sum(
+        g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+        for a, b, c in itertools.combinations(range(g.n), 3)
+    )
 
 
 def test_prism_triangles_stay_in_one_side():
     # matching edges are in no triangle, so triangle counts add up
     for g in all_graphs(5):
         pg = complementary_prism(g)
-        expected = count(g.triangles()) + count(g.complement().triangles())
-        assert count(pg.triangles()) == expected
+        assert triangles(pg) == triangles(g) + triangles(g.complement())
 
 
 def test_prism_diameter_trichotomy():

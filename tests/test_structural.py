@@ -32,6 +32,7 @@ from prismatic.morphisms import BudgetExhausted, SearchBudget
 from prismatic.structural import (
     CHEEGER_BRUTE_MAX_N,
     VERTEX_CONNECTIVITY_BRUTE_MAX_N,
+    _check_ham_path,
     _edge_boundary,
     _report_for,
     bound_checks,
@@ -87,7 +88,7 @@ def test_chromatic_known_values():
         # 58 vertices, above CHROMATIC_EXACT_MAX_N, where the bounds meet
         (complementary_prism(paley_graph(29)), 8),
     ]:
-        value, coloring, exact = chromatic_number(g)
+        value, coloring, exact = chromatic(g)
         assert value == chi and exact
         # returned coloring is proper and uses exactly chi colors
         assert len(set(coloring)) == chi
@@ -95,10 +96,16 @@ def test_chromatic_known_values():
             assert coloring[u] != coloring[v]
 
 
+def chromatic(g: Graph) -> tuple[int, list[int], bool]:
+    """``chromatic_number`` with the clique bounds it is always given."""
+    return chromatic_number(g, clique=max_clique(g), indep=max_independent_set(g))
+
+
 def _k_colorable(g: Graph, k: int) -> list[int] | None:
     """Exact backtracking k-coloring (colors 1..k), or None."""
     n = g.n
-    order = sorted(range(n), key=lambda v: -g.degree(v))
+    degrees = g.degrees()
+    order = sorted(range(n), key=lambda v: -degrees[v])
     colors = [0] * n
 
     def rec(i: int, used: int) -> bool:
@@ -161,15 +168,15 @@ def _chromatic_cases():
 
 def test_chromatic_number_matches_reference_route():
     for g in _chromatic_cases():
-        chi, coloring, exact = chromatic_number(g)
+        chi, coloring, exact = chromatic(g)
         ref_chi, ref_exact = reference_chromatic_number(g)
-        assert chi == ref_chi, g.name
+        assert chi == ref_chi, g.adj
         if g.n <= structural.CHROMATIC_EXACT_MAX_N:
-            assert exact == ref_exact, g.name
+            assert exact == ref_exact, g.adj
         else:  # a meeting of the bounds may only make the answer exact
-            assert exact >= ref_exact, g.name
+            assert exact >= ref_exact, g.adj
         assert len(coloring) == g.n
-        assert set(coloring) == set(range(1, chi + 1)), g.name
+        assert set(coloring) == set(range(1, chi + 1)), g.adj
         for u, v in g.edges():
             assert coloring[u] != coloring[v]
 
@@ -248,7 +255,7 @@ def test_invariants_computes_each_clique_bound_once(monkeypatch):
     g = complementary_prism(cycle_graph(7))
     inv = invariants(g)
     assert len(calls) == 2
-    assert (inv.chi, inv.exact) == structural.chromatic_number(g)[::2]
+    assert (inv.chi, inv.exact) == chromatic(g)[::2]
 
 
 # -- vertex connectivity ---------------------------------------------------------
@@ -397,7 +404,7 @@ def test_vertex_connectivity_finds_a_cut_through_the_min_degree_vertex():
     edges = [e for part in (range(6), range(6, 12)) for e in itertools.combinations(part, 2)]
     edges += [(0, 12), (1, 12), (6, 12), (7, 12)]
     g = build_graph(13, edges)
-    assert min(g.degrees()) == g.degree(12) == 4
+    assert min(g.degrees()) == g.degrees()[12] == 4
     assert vertex_connectivity(g) == (1, (12,))
 
 
@@ -568,11 +575,26 @@ def test_hamiltonian_connected_mode():
     assert hamiltonian(cycle_graph(4), "connected") is None
 
 
+def test_ham_path_check_rejects_each_kind_of_bad_witness():
+    c5 = cycle_graph(5)
+    assert _check_ham_path(c5, [0, 1, 2, 3, 4], ends=(0, 4), closed=True) == [0, 1, 2, 3, 4]
+    for path, kwargs in [
+        ([0, 1, 2, 3], {}),  # misses a vertex
+        ([0, 1, 2, 3, 3], {}),  # repeats one
+        ([0, 2, 1, 3, 4], {}),  # uses a non-edge
+        ([0, 1, 2, 3, 4], {"ends": (1, 4)}),  # wrong ends
+    ]:
+        with pytest.raises(AssertionError):
+            _check_ham_path(c5, path, **kwargs)
+    with pytest.raises(AssertionError):
+        _check_ham_path(path_graph(5), [0, 1, 2, 3, 4], closed=True)
+
+
 def test_hamiltonian_mode_validation_and_budget():
     with pytest.raises(ValueError):
         hamiltonian(cycle_graph(4), "tour")
     with pytest.raises(BudgetExhausted):
-        hamiltonian(paley_graph(13), "cycle", budget=2)
+        hamiltonian(paley_graph(13), "cycle", budget=SearchBudget(2))
 
 
 # -- prism Hamiltonian constructions ------------------------------------------------
@@ -614,10 +636,9 @@ def test_prism_ham_constructions_share_one_budget():
     full = prism_ham_constructions(g, budget=total)
     assert full.ham_connected is not None
     assert sum(inner) == total.nodes and max(inner) < total.nodes - 1
-    for short in (total.nodes - 1, SearchBudget(total.nodes - 1)):
-        with pytest.raises(BudgetExhausted):
-            prism_ham_constructions(g, budget=short)
-    assert prism_ham_constructions(g, budget=total.nodes) == full
+    with pytest.raises(BudgetExhausted):
+        prism_ham_constructions(g, budget=SearchBudget(total.nodes - 1))
+    assert prism_ham_constructions(g, budget=SearchBudget(total.nodes)) == full
 
 
 def test_prism_ham_single_vertex():
