@@ -85,6 +85,12 @@ def precondition():
         raise InputError(str(e)) from e
 
 
+def require_positive(flag: str, value: int | None) -> None:
+    """Reject a count below 1; None means the flag was not given."""
+    if value is not None and value < 1:
+        raise InputError(f"{flag} must be at least 1, got {value}")
+
+
 def _json_default(obj):
     """Encode the one non-JSON value that reports hold, a Fraction."""
     if isinstance(obj, Fraction):
@@ -194,8 +200,7 @@ def cmd_aut(args) -> int:
 
 def cmd_antimorph(args) -> int:
     g = load_graph(args)
-    if args.limit is not None and args.limit < 1:
-        raise InputError(f"--limit must be at least 1, got {args.limit}")
+    require_positive("--limit", args.limit)
     antis = find_antimorphisms(g, limit=args.limit)
     report = {
         "command": "antimorph",
@@ -216,6 +221,7 @@ def cmd_antimorph(args) -> int:
 
 def cmd_core(args) -> int:
     g = load_graph(args)
+    require_positive("--budget-nodes", args.budget_nodes)
     base = None
     if args.prism:
         base = g
@@ -364,6 +370,7 @@ def cmd_theta(args) -> int:
 
 def cmd_hamilton(args) -> int:
     g = load_graph(args)
+    require_positive("--budget-nodes", args.budget_nodes)
     report = {"command": "hamilton", "n": g.n}
     if not args.constructions:
         report["mode"] = args.mode
@@ -543,6 +550,7 @@ def _all_graphs(n: int):
 
 def cmd_sweep(args) -> int:
     """Cross-oracle battery over every labeled graph on <= max-n vertices."""
+    require_positive("--max-n", args.max_n)
     checked = 0
     t0 = time.perf_counter()
     for n in range(1, args.max_n + 1):

@@ -93,13 +93,13 @@ def paley_graph(q: int) -> Graph:
     """Paley graph on GF(q); requires q = 1 (mod 4) so the graph is undirected.
 
     Vertex a is the field element a, and its row is the translate a + S of
-    the set S of nonzero squares.
+    the set S of nonzero squares, shifted as one bitmask.
     """
     field = get_field(q)
     if q % 4 != 1:
         raise ValueError(f"Paley graph needs q = 1 (mod 4), got {q}")
-    squares = field.nonzero_squares()
-    rows = [sum(1 << field.add(a, s) for s in squares) for a in range(q)]
+    squares = sum(1 << s for s in field.nonzero_squares())
+    rows = [field.translate(squares, a) for a in range(q)]
     return Graph._trusted(q, rows)
 
 

@@ -3,9 +3,11 @@
 An element of GF(p^k) is the integer 0..q-1 that also indexes it as a graph
 vertex: its base-p digits, least significant first, are the coefficients of
 a polynomial over GF(p) taken modulo a fixed monic irreducible modulus.
-Addition and subtraction work digit by digit.  Multiplication, inversion,
-powers and the square set read log/antilog tables of the least primitive
-element, built once when the field is made (``get_field`` caches it).
+Addition and subtraction work digit by digit, and ``translate`` adds one
+element to a whole bitmask of elements by rotating blocks of bits.
+Multiplication, inversion, powers and the square set read log/antilog
+tables of the least primitive element, built once when the field is made
+(``get_field`` caches it).
 """
 
 from __future__ import annotations
@@ -92,6 +94,24 @@ class FieldSpec:
 
     def sub(self, a: int, b: int) -> int:
         return self._axpy(a, b, -1)
+
+    def translate(self, mask: int, a: int) -> int:
+        """The bitmask of {x + a : x in mask}, for a mask of elements.
+
+        Adding the digit d at place p^i rotates each aligned block of
+        p^(i+1) bits up by d * p^i, wrapping inside the block; for prime q
+        that is one rotation of the whole q-bit mask.
+        """
+        p, q, place = self.p, self.q, 1
+        while a:
+            a, d = divmod(a, p)
+            if d:
+                block, shift = place * p, d * place
+                # the low block - shift bits of every block move up without wrapping
+                stay = ((1 << block - shift) - 1) * (((1 << q) - 1) // ((1 << block) - 1))
+                mask = (mask & stay) << shift | (mask & ~stay) >> block - shift
+            place *= p
+        return mask
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

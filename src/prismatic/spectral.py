@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Graph
 from .morphisms import is_self_complementary
+
+# numpy is imported inside the three functions that call it, so a
+# command that never reaches them starts without paying for the import.
 
 MULTIPLICITY_TOL = 1e-7
 PRISM_SPECTRUM_TOL = 1e-9
@@ -47,6 +48,8 @@ class SpectrumReport:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    import numpy as np
+
     m = np.zeros((g.n, g.n), dtype=np.int64)
     for v, u in g.edges():
         m[v, u] = m[u, v] = 1
@@ -55,6 +58,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def numeric_spectrum(g: Graph) -> SpectrumReport:
     """Eigenvalues of the adjacency matrix by LAPACK ``eigvalsh``."""
+    import numpy as np
+
     eigs = np.linalg.eigvalsh(adjacency_matrix(g))  # ascending
     return SpectrumReport(n=g.n, eigenvalues=tuple(float(x) for x in eigs[::-1]))
 
@@ -164,6 +169,8 @@ def _srg_implies_walk_regular(g: Graph, p: SrgParams) -> bool:
     so all diagonal entries agree and all edge entries agree at every
     power: the graph is 1-walk-regular.
     """
+    import numpy as np
+
     a = adjacency_matrix(g)
     j = np.ones_like(a)
     i = np.eye(g.n, dtype=np.int64)

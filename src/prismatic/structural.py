@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
 from .morphisms import SearchBudget, find_homomorphism, is_vertex_transitive
 from .spectral import srg_analysis
+
+# numpy is imported inside cheeger_brute_force, its one user, so a command
+# that never reaches it starts without paying for the import.
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +386,8 @@ def cheeger_brute_force(g: Graph) -> CheegerReport:
         raise ValueError("brute-force Cheeger limited to 20 vertices")
     if n < 2:
         raise ValueError("Cheeger number needs at least two vertices")
+    import numpy as np
+
     half = n // 2
     # a subset S splits into a high part y and a low part x:
     # S = y * 2^low + x with x < 2^low

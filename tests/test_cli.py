@@ -417,6 +417,23 @@ def test_antimorph_limit_below_one_exits_2(capsys, limit):
     assert_input_error(capsys, ["antimorph", "--name", "cycle:5", f"--limit={limit}"])
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["core", "--name", "cycle:5", "--budget-nodes"],
+        ["core", "--prism", "--name", "cycle:5", "--budget-nodes"],
+        ["hamilton", "--name", "cycle:5", "--budget-nodes"],
+        ["hamilton", "--constructions", "--name", "cycle:5", "--budget-nodes"],
+        ["sweep", "--max-n"],
+    ],
+    ids=["core", "core-prism", "hamilton", "hamilton-constructions", "sweep"],
+)
+def test_count_below_one_exits_2(capsys, argv, count):
+    # a budget of no nodes is not "unknown", and no sizes is not "0 checked"
+    assert_input_error(capsys, [*argv, count])
+
+
 def test_aut_reports_generator_count(capsys):
     report = run_json(capsys, ["aut", "--name", "kneser:7:3"])
     assert report["order"] == 5040

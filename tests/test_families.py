@@ -120,6 +120,16 @@ def test_paley_graph_is_the_pairwise_difference_definition(q):
             assert g.has_edge(i, j) == (f.sub(i, j) in squares)
 
 
+@pytest.mark.parametrize(
+    "q", [5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 89, 97, 101, 1009]
+)
+def test_paley_rows_are_the_element_wise_translates_of_the_squares(q):
+    f = get_field(q)
+    squares = f.nonzero_squares()
+    rows = [sum(1 << f.add(a, s) for s in squares) for a in range(q)]
+    assert list(paley_graph(q).adj) == rows
+
+
 def test_paley_needs_q_1_mod_4():
     with pytest.raises(ValueError):
         paley_graph(7)

@@ -87,6 +87,17 @@ def test_operations_agree_with_the_tuple_reference(q):
         assert f.nonzero_squares() == {ref.index(s) for s in ref.nonzero_squares()}
 
 
+@pytest.mark.parametrize("q", SMALL)
+def test_translate_adds_the_element_to_every_member_of_the_mask(q):
+    f = get_field(q)
+    rng = random.Random(q)
+    masks = [0, (1 << q) - 1, 1, 1 << (q - 1)] + [rng.getrandbits(q) for _ in range(3)]
+    for mask in masks:
+        members = [x for x in range(q) if mask >> x & 1]
+        for a in range(q):
+            assert f.translate(mask, a) == sum(1 << f.add(x, a) for x in members)
+
+
 def test_sampled_pairs_of_gf_1021_agree_with_the_tuple_reference():
     f = get_field(1021)
     ref = reference(f)
