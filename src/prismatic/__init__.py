@@ -47,7 +47,6 @@ from .morphisms import (
     GroupDescription,
     Permutation,
     SearchBudget,
-    VertexMap,
     antimorphism_facts,
     automorphism_generators,
     automorphism_group,

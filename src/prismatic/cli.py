@@ -5,7 +5,10 @@ commands compose with ordinary shell pipes::
 
     prismatic prism --name paley:5 | prismatic aut
 
-Analysis subcommands print machine-readable JSON reports.  Exit status is
+Analysis subcommands print machine-readable JSON reports.  Each ``cmd_*``
+function returns its report (a dict, or the bare graph6 text of
+``construct`` and ``prism`` without ``--json``), and ``main`` is the one
+place that prints it.  Exit status is
 nonzero only for input errors (bad graph6, unknown constructor, missing
 flags, input outside a command's precondition); mathematical "no" answers
 are ordinary results with exit 0.
@@ -147,32 +150,19 @@ def detect_prism_layout(g: Graph) -> Graph | None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
+def cmd_graph6(args) -> dict | str:
+    """``construct`` and ``prism``: the graph, or its prism, as graph6."""
     g = load_graph(args)
-    if args.json:
-        emit({
-            "command": "construct",
-            "n": g.n,
-            "edges": g.edge_count(),
-            "graph6": write_graph6(g),
-        })
-    else:
-        print(write_graph6(g))
-    return 0
+    if args.command == "prism":
+        with precondition():  # the null graph has no prism
+            g = complementary_prism(g)
+    text = write_graph6(g)
+    if not args.json:
+        return text
+    return {"command": args.command, "n": g.n, "edges": g.edge_count(), "graph6": text}
 
 
-def cmd_prism(args) -> int:
-    g = load_graph(args)
-    with precondition():  # the null graph has no prism
-        pg = complementary_prism(g)
-    if args.json:
-        emit({"command": "prism", "n": pg.n, "edges": pg.edge_count(), "graph6": write_graph6(pg)})
-    else:
-        print(write_graph6(pg))
-    return 0
-
-
-def cmd_aut(args) -> int:
+def cmd_aut(args) -> dict:
     g = load_graph(args)
     group = automorphism_group(g)
     report = {
@@ -194,11 +184,10 @@ def cmd_aut(args) -> int:
             "ratio_reason": structure.ratio.reason,
             "structure": structure.ratio.structure_label,
         }
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_antimorph(args) -> int:
+def cmd_antimorph(args) -> dict:
     g = load_graph(args)
     require_positive("--limit", args.limit)
     antis = find_antimorphisms(g, limit=args.limit)
@@ -215,11 +204,10 @@ def cmd_antimorph(args) -> int:
             "order": order,
             "fixed_points": sorted(fixed),
         }
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_core(args) -> int:
+def cmd_core(args) -> dict:
     g = load_graph(args)
     require_positive("--budget-nodes", args.budget_nodes)
     base = None
@@ -241,11 +229,10 @@ def cmd_core(args) -> int:
         report["case"] = case.case
         if case.V1 or case.V2 or case.V3:
             report["partition"] = {"V1": case.V1, "V2": case.V2, "V3": case.V3}
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     g = load_graph(args)
     with precondition():  # the null graph has no prism
         structure = structured_prism_aut(g)
@@ -273,44 +260,34 @@ def cmd_classify(args) -> int:
     }
     if 2 * g.n <= 16:
         report["prism_not_lex_product"] = not_lex_product_check(complementary_prism(g))
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_cheeger(args) -> int:
+def cmd_cheeger(args) -> dict:
     g = load_graph(args)
     with precondition():  # brute force is limited to CHEEGER_BRUTE_MAX_N vertices
+        rep = cheeger_closed_form(g) if args.prism else cheeger_brute_force(g)
+        report = {
+            "command": "cheeger",
+            "value": rep.value,
+            "method": rep.method,
+            "witness_S": rep.witness[0],
+            "witness_T": rep.witness[1],
+        }
         if args.prism:
-            rep = cheeger_closed_form(g)
-            report = {
-                "command": "cheeger",
-                "of": "complementary prism",
-                "base_n": g.n,
-                "value": rep.value,
-                "method": rep.method,
-                "witness_S": rep.witness[0],
-                "witness_T": rep.witness[1],
-            }
+            report["of"] = "complementary prism"
+            report["base_n"] = g.n
             if args.brute or 2 * g.n <= 16:
                 brute = cheeger_brute_force(complementary_prism(g))
                 report["brute_force_value"] = brute.value
                 if brute.value != rep.value:
                     raise AssertionError("closed form disagrees with brute force")
         else:
-            rep = cheeger_brute_force(g)
-            report = {
-                "command": "cheeger",
-                "n": g.n,
-                "value": rep.value,
-                "method": rep.method,
-                "witness_S": rep.witness[0],
-                "witness_T": rep.witness[1],
-            }
-    emit(report)
-    return 0
+            report["n"] = g.n
+    return report
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     g = load_graph(args)
     report = {"command": "spectrum", "n": g.n}
     numeric = numeric_spectrum(g)
@@ -327,48 +304,42 @@ def cmd_spectrum(args) -> int:
         report["prism_numeric_max_diff"] = diff
         if diff > PRISM_SPECTRUM_TOL:
             raise AssertionError(f"closed form and numeric spectra differ by {diff}")
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_srg(args) -> int:
+def cmd_srg(args) -> dict:
     g = load_graph(args)
     rep = srg_analysis(g)
     report = {
         "command": "srg",
         "n": g.n,
         "strongly_regular": rep.srg_params is not None,
-        "one_walk_regular": bool(rep.one_walk_regular),
+        "one_walk_regular": rep.one_walk_regular,
     }
     if rep.srg_params:
         p = rep.srg_params
         report["parameters"] = [p.n, p.k, p.lam, p.mu]
-    if not rep.one_walk_regular:
-        w = rep.one_walk_regular
-        report["witness"] = {"power": w.power, "kind": w.kind, "entries": list(w.entries)}
-    if rep.edge_witness is not None:
-        w = rep.edge_witness
-        report["edge_witness"] = {"power": w.power, "kind": w.kind, "entries": list(w.entries)}
+    for key, w in (("witness", rep.witness), ("edge_witness", rep.edge_witness)):
+        if w is not None:
+            report[key] = {"power": w.power, "kind": w.kind, "entries": list(w.entries)}
     if rep.srg_sc_eigen:
         report["self_complementary_eigenvalues"] = list(rep.srg_sc_eigen)
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> dict:
     g = load_graph(args)
     with precondition():  # the bound needs a regular graph
         upper, complement_lower = theta_bounds(g)
-    emit({
+    return {
         "command": "theta",
         "n": g.n,
         "upper_bound": upper,
         "complement_lower_bound": complement_lower,
-    })
-    return 0
+    }
 
 
-def cmd_hamilton(args) -> int:
+def cmd_hamilton(args) -> dict:
     g = load_graph(args)
     require_positive("--budget-nodes", args.budget_nodes)
     report = {"command": "hamilton", "n": g.n}
@@ -404,14 +375,13 @@ def cmd_hamilton(args) -> int:
     except BudgetExhausted:
         report["status"] = "unknown"
         report["note"] = "search budget exhausted"
-    emit(report)
-    return 0
+    return report
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> dict:
     g = load_graph(args)
     rep = invariants(g)
-    report = {
+    return {
         "command": "invariants",
         "n": g.n,
         "alpha": rep.alpha,
@@ -419,15 +389,8 @@ def cmd_invariants(args) -> int:
         "chi": rep.chi,
         "kappa": rep.kappa,
         "exact": rep.exact,
-        "witnesses": {
-            "independent_set": rep.witnesses["independent_set"],
-            "clique": rep.witnesses["clique"],
-            "coloring": rep.witnesses["coloring"],
-            "cut": rep.witnesses["cut"],
-        },
+        "witnesses": rep.witnesses,
     }
-    emit(report)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +481,8 @@ def _verify_f9() -> dict:
         if rep.srg_params:
             p = rep.srg_params
             entry["srg"] = [p.n, p.k, p.lam, p.mu]
-        if not rep.one_walk_regular:
-            entry["walk_regularity_witness_power"] = rep.one_walk_regular.power
+        if rep.witness is not None:
+            entry["walk_regularity_witness_power"] = rep.witness.power
         entry["kappa"] = vertex_connectivity(g)[0]
         out[f"f9_{i}"] = entry
     return out
@@ -533,13 +496,12 @@ FIXTURE_CHECKS = {
 }
 
 
-def cmd_verify_fixture(args) -> int:
+def cmd_verify_fixture(args) -> dict:
     if args.fixture not in FIXTURE_CHECKS:
         raise InputError(
             f"unknown fixture {args.fixture!r}; choose from {sorted(FIXTURE_CHECKS)}"
         )
-    emit(FIXTURE_CHECKS[args.fixture]())
-    return 0
+    return FIXTURE_CHECKS[args.fixture]()
 
 
 def _all_graphs(n: int):
@@ -548,7 +510,7 @@ def _all_graphs(n: int):
         yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     """Cross-oracle battery over every labeled graph on <= max-n vertices."""
     require_positive("--max-n", args.max_n)
     checked = 0
@@ -562,14 +524,13 @@ def cmd_sweep(args) -> int:
             if closed.value != brute_h.value:
                 raise AssertionError(f"Cheeger mismatch on {g.adj}")
             checked += 1
-    emit({
+    return {
         "command": "sweep",
         "max_n": args.max_n,
         "graphs_checked": checked,
         "failures": 0,
         "seconds": round(time.perf_counter() - t0, 1),
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    p = add("construct", cmd_construct, help="emit a named graph as graph6")
+    p = add("construct", cmd_graph6, help="emit a named graph as graph6")
     p.add_argument("--json", action="store_true", help="JSON report instead of bare graph6")
-    p = add("prism", cmd_prism, help="emit the complementary prism as graph6")
+    p = add("prism", cmd_graph6, help="emit the complementary prism as graph6")
     p.add_argument("--json", action="store_true", help="JSON report instead of bare graph6")
     add("aut", cmd_aut, help="automorphism group; recognizes prism labelings")
     p = add("antimorph", cmd_antimorph, help="antimorphisms (isomorphisms onto the complement)")
@@ -633,10 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report; the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        report = args.fn(args)
+        if isinstance(report, dict):
+            emit(report)
+        else:
+            print(report)
+        return 0
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -129,26 +129,6 @@ class Permutation:
         return Permutation(tuple(range(n)))
 
 
-@dataclass(frozen=True)
-class VertexMap:
-    """A total map between vertex sets, not necessarily injective."""
-
-    source_n: int
-    target_n: int
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        image = tuple(self.image)
-        object.__setattr__(self, "image", image)
-        if len(image) != self.source_n:
-            raise ValueError("image array has wrong length")
-        if any(not 0 <= x < self.target_n for x in image):
-            raise ValueError("image value out of range")
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-
 # Independent verifiers -- deliberately plain double loops, sharing nothing
 # with the searches, so search results can be checked by different code.
 
@@ -318,17 +298,18 @@ def find_homomorphism(
     g2: Graph,
     constraints: dict[int, int] | None = None,
     budget: SearchBudget | None = None,
-) -> VertexMap | None:
+) -> tuple[int, ...] | None:
     """Find a homomorphism g1 -> g2 extending ``constraints``, or prove none.
 
-    Returns a verified VertexMap, or None after an exhaustive search.
+    Returns a verified image array, or None after an exhaustive search; the
+    null graph's homomorphism is the empty tuple, so test ``is None``.
     Raises BudgetExhausted if a node budget is given and runs out, and
     ValueError for a contradictory partial map.
     """
     budget = budget or SearchBudget()
     n1, n2 = g1.n, g2.n
     if n1 == 0:
-        return VertexMap(0, n2, ())
+        return ()
     if n2 == 0:
         return None
     full2 = (1 << n2) - 1
@@ -416,8 +397,8 @@ def find_homomorphism(
 
     if not rec(cand, 0):
         return None
-    result = VertexMap(n1, n2, tuple(img))
-    if not is_homomorphism(g1, g2, result.image):
+    result = tuple(img)
+    if not is_homomorphism(g1, g2, result):
         raise AssertionError("search produced a non-homomorphism")
     return result
 
@@ -438,7 +419,7 @@ class CoreReport:
     """
 
     core_vertices: tuple[int, ...]
-    retraction: VertexMap
+    retraction: tuple[int, ...]
     is_core_itself: bool
     status: str
 
@@ -553,7 +534,7 @@ def compute_core(
                     continue
                 # Lift the local endomorphism of g[current] to one of g by
                 # composing with the retraction collected so far.
-                endo_global = {current[i]: current[keep[x]] for i, x in enumerate(found.image)}
+                endo_global = {current[i]: current[keep[x]] for i, x in enumerate(found)}
                 fold_full([endo_global[psi[x]] for x in range(n)])
                 progressed = True
                 break
@@ -562,12 +543,11 @@ def compute_core(
         if status == "unknown" or not progressed:
             break
 
-    retraction = VertexMap(n, n, tuple(psi))
     if not verify_retraction(g, psi, current):
         raise AssertionError("computed map failed retraction verification")
     return CoreReport(
         core_vertices=tuple(current),
-        retraction=retraction,
+        retraction=tuple(psi),
         is_core_itself=(status == "ok" and len(current) == n),
         status=status,
     )
@@ -886,7 +866,7 @@ def has_regular_subgroup(group: GroupDescription, n: int) -> list[Permutation] |
     return search({0: Permutation.identity(n)})
 
 
-def wreath_map(g1: Graph, g2: Graph, phi, betas) -> VertexMap:
+def wreath_map(g1: Graph, g2: Graph, phi, betas) -> tuple[int, ...]:
     """Assemble (v1, v2) -> (phi(v1), betas[v1](v2)) on the lexicographic
     product, verifying it is a homomorphism of the product.
 
@@ -902,4 +882,4 @@ def wreath_map(g1: Graph, g2: Graph, phi, betas) -> VertexMap:
     product = lexicographic_product(g1, g2)
     if not is_homomorphism(product, product, image):
         raise ValueError("assembled map is not a homomorphism of the product")
-    return VertexMap(n1 * n2, n1 * n2, image)
+    return image

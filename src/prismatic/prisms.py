@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-from .families import FamilySpec, colex_subsets, family_graph, kneser_graph
+from .families import FamilySpec, family_graph
 from .graphs import Graph, bits, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
@@ -245,14 +245,16 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
     """Assemble Aut(prism of g) from the structure theorems, not brute force.
 
     One pass: detect the families, compute Aut(g) and search for one
-    antimorphism, each once; ``ratio_class`` then picks the branch.  The
-    group is given by generators: for the pentagon, two generators of S5
-    pushed through an isomorphism from the Kneser graph K(5,2); otherwise
+    antimorphism, each once; ``ratio_class`` names the theorem from the
+    matches and the antimorphism alone.  The group is given by generators:
     the diagonal lifts of generators of Aut(g), the swap lift of the
-    antimorphism when g is self-complementary, and the special map s when g
-    is in a family.  Every generator is verified as a prism automorphism,
-    so the assembled group lies inside Aut(prism) and a wrong assembly
-    shows as a smaller order.
+    antimorphism when g is self-complementary, and the special map s when
+    g is in a family.  This covers the pentagon, the "C5" member over one
+    vertex: its lifts generate AGL(1,5) of order 20, which is maximal in
+    S5, and s mixes the sides so lies outside it; together they generate
+    all of S5.  Every generator is verified as a prism automorphism, so
+    the assembled group lies inside Aut(prism) and a wrong assembly shows
+    as a smaller order.
     """
     n = g.n
     prism = complementary_prism(g)
@@ -261,30 +263,13 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
     anti = next(iter(find_antimorphisms(g, limit=1)), None)
     ratio = ratio_class(matches, anti)
 
-    if ratio.structure_label == "S5":
-        # The prism is the Petersen graph: push S5 acting on 2-subsets
-        # through one searched isomorphism from the Kneser graph K(5,2).
-        pair_sets = colex_subsets(5, 2)
-        index_of = {s: i for i, s in enumerate(pair_sets)}
-        iso = find_isomorphisms(kneser_graph(5, 2), prism, limit=1)
-        if not iso:
-            raise AssertionError("prism of the pentagon is not the Petersen graph?")
-        iso = iso[0]
-        iso_inv = iso.inverse()
-        generators = []
-        for relabel in ({1: 2, 2: 1}, {1: 2, 2: 3, 3: 4, 4: 5, 5: 1}):  # (1 2), (1 2 3 4 5)
-            on_pairs = Permutation(
-                tuple(index_of[frozenset(relabel.get(x, x) for x in s)] for s in pair_sets)
-            )
-            generators.append(iso * on_pairs * iso_inv)
-    else:
-        generators = [
-            Permutation(p.image + tuple(n + x for x in p.image)) for p in base_group.generators
-        ]
-        if anti is not None:
-            generators.append(Permutation(tuple(n + x for x in anti.image) + anti.image))
-        if matches:
-            generators.append(_special_map(g, matches[0]))
+    generators = [
+        Permutation(p.image + tuple(n + x for x in p.image)) for p in base_group.generators
+    ]
+    if anti is not None:
+        generators.append(Permutation(tuple(n + x for x in anti.image) + anti.image))
+    if matches:
+        generators.append(_special_map(g, matches[0]))
 
     for p in generators:
         if not is_isomorphism_map(prism, prism, p.image):
@@ -383,7 +368,7 @@ def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
     if report.status != "ok":
         raise ValueError("cannot classify an incomplete core computation")
     prism = complementary_prism(g)
-    if not verify_retraction(prism, report.retraction.image, report.core_vertices):
+    if not verify_retraction(prism, report.retraction, report.core_vertices):
         raise ValueError("report does not carry a retraction of the prism onto its core")
     core = set(report.core_vertices)
     U1 = {v for v in range(n) if v in core}
@@ -423,7 +408,7 @@ def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
     )
 
     # Retraction inclusions for the retraction we actually computed.
-    psi = report.retraction.image
+    psi = report.retraction
     main, other = (2, 1) if side == 2 else (1, 2)
 
     def pimg(v, s):

@@ -114,24 +114,28 @@ class WalkRegularityWitness:
 
     ``kind`` is "diagonal" when two vertices have different closed-walk
     counts at the given power, "edge" when two edges have different walk
-    counts.  A witness is falsy so that ``report.one_walk_regular`` can be
-    used directly as a boolean.
+    counts.
     """
 
     power: int
     kind: str
     entries: tuple
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class SrgAnalysis:
+    """``witness`` is the first diagonal violation of 1-walk-regularity,
+    else the first edge violation, and None when the graph is
+    1-walk-regular; ``edge_witness`` is the first edge violation."""
+
     srg_params: SrgParams | None
-    one_walk_regular: object  # True, or a WalkRegularityWitness (falsy)
     srg_sc_eigen: tuple[float, float, float] | None
-    edge_witness: WalkRegularityWitness | None = None
+    witness: WalkRegularityWitness | None
+    edge_witness: WalkRegularityWitness | None
+
+    @property
+    def one_walk_regular(self) -> bool:
+        return self.witness is None
 
 
 def srg_params(g: Graph) -> SrgParams | None:
@@ -240,14 +244,12 @@ def srg_analysis(g: Graph) -> SrgAnalysis:
     otherwise the first edge violation.
     """
     params = srg_params(g)
-    sc_eigen = None
+    sc_eigen = witness = edge_w = None
     if params is not None:
         if not params.feasible():
             raise AssertionError(f"counted parameters infeasible: {params}")
         if not _srg_implies_walk_regular(g, params):
             raise AssertionError("strongly regular counts but matrix identity failed")
-        one_wr: object = True
-        edge_w = None
         if is_self_complementary(g):
             n = params.n
             expected = SrgParams(n, (n - 1) // 2, (n - 5) // 4, (n - 1) // 4)
@@ -259,18 +261,8 @@ def srg_analysis(g: Graph) -> SrgAnalysis:
             sc_eigen = ((n - 1) / 2, (r - 1) / 2, (-r - 1) / 2)
     else:
         diag_w, edge_w = _walk_regularity_scan(g)
-        if diag_w is not None:
-            one_wr = diag_w
-        elif edge_w is not None:
-            one_wr = edge_w
-        else:
-            one_wr = True
-    return SrgAnalysis(
-        srg_params=params,
-        one_walk_regular=one_wr,
-        srg_sc_eigen=sc_eigen,
-        edge_witness=edge_w,
-    )
+        witness = diag_w or edge_w
+    return SrgAnalysis(params, sc_eigen, witness, edge_w)
 
 
 # ---------------------------------------------------------------------------

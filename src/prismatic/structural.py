@@ -117,7 +117,7 @@ def chromatic_number(
         for k in range(lb, ub):
             found = find_homomorphism(g, complete_graph(k), constraints=pinned)
             if found is not None:
-                return k, [c + 1 for c in found.image], True
+                return k, [c + 1 for c in found], True
     return ub, coloring, lb == ub or n <= CHROMATIC_EXACT_MAX_N
 
 
@@ -677,7 +677,7 @@ def bound_checks(g: Graph) -> BoundCheckReport:
     }
 
     vt = n > 0 and is_vertex_transitive(g)
-    one_wr = n > 0 and bool(srg_analysis(g).one_walk_regular)
+    one_wr = n > 0 and srg_analysis(g).one_walk_regular
     if vt or one_wr:
         clique_coclique = {
             "alpha": alpha,

@@ -326,7 +326,8 @@ def test_criterion_10_nine_vertex_battery(capsys):
         for i, power in ((2, 4), (3, 3), (4, 3)):
             a = srg_analysis(figure_f9(i))
             assert a.srg_params is None
-            w = a.one_walk_regular
+            assert a.one_walk_regular is False
+            w = a.witness
             assert w.kind == "diagonal" and w.power == power
             assert w.entries[0][0] == 0 and w.entries[1][0] == 1
         # [DERIVED] connectivity: third graph has kappa = 3 with the unique
@@ -363,8 +364,8 @@ def test_criterion_12_lexicographic_products(capsys):
                     [mask >> a & 1, 1 - (mask >> a & 1)] for a in range(5)
                 ]
                 wm = wreath_map(c5, k2, phi.image, betas)
-                assert is_isomorphism_map(product, product, wm.image)
-                images.add(wm.image)
+                assert is_isomorphism_map(product, product, wm)
+                images.add(wm)
         # [PAPER] wreath-style maps give |Aut(C5)| * 2^5 = 320 automorphisms
         assert len(images) == 320
         # [DERIVED] and brute force finds no others

@@ -20,7 +20,6 @@ from prismatic.graphs import (
 )
 from prismatic.morphisms import (
     CoreReport,
-    VertexMap,
     automorphism_group,
     compute_core,
     find_antimorphisms,
@@ -318,6 +317,16 @@ def test_structured_group_on_pentagon_is_s5():
     assert grp.is_transitive()
 
 
+def test_every_labelled_pentagon_assembles_s5_from_the_family_generators():
+    labelled = {cycle_graph(5).relabel(p) for p in itertools.permutations(range(5))}
+    assert len(labelled) == 12
+    for g in labelled:
+        structure = structured_prism_aut(g)
+        structure.check(automorphism_group(complementary_prism(g)))
+        assert structure.group.order == 120
+        assert structure.ratio.structure_label == "S5"
+
+
 # -- ratio classification -------------------------------------------------------
 
 
@@ -502,7 +511,7 @@ def test_core_case_rejects_non_retraction_report():
     n = 2 * g.n
     fake = CoreReport(
         core_vertices=(0, 1),
-        retraction=VertexMap(n, n, tuple([0] * n)),
+        retraction=tuple([0] * n),
         is_core_itself=False,
         status="ok",
     )

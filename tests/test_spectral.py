@@ -201,8 +201,8 @@ def test_non_srg_figure_f9_walk_regularity_witnesses():
     for i, (power, entries, edge_entries) in expected.items():
         report = srg_analysis(figure_f9(i))
         assert report.srg_params is None
-        w = report.one_walk_regular
-        assert not w  # witness objects are falsy
+        assert report.one_walk_regular is False
+        w = report.witness
         assert w.kind == "diagonal"
         assert w.power == power
         assert w.entries == entries
@@ -219,11 +219,11 @@ def test_edge_kind_witness_on_triangular_prism():
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
     report = srg_analysis(tp)
-    w = report.one_walk_regular
+    w = report.witness
     assert w.kind == "edge" and w.power == 2
     assert w.entries == (((0, 1), 1), ((0, 3), 0))
     assert report.edge_witness is w
-    assert not report.one_walk_regular
+    assert report.one_walk_regular is False
 
 
 def test_even_cycle_is_one_walk_regular_without_being_srg():
