@@ -45,7 +45,6 @@ from .morphisms import (
     BudgetExhausted,
     CoreReport,
     GroupDescription,
-    Permutation,
     SearchBudget,
     antimorphism_facts,
     automorphism_generators,

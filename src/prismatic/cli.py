@@ -39,7 +39,6 @@ from .graphio import parse_graph6, write_graph6
 from .graphs import Graph, build_graph, complementary_prism, complete_graph, cycle_graph
 from .morphisms import (
     BudgetExhausted,
-    Permutation,
     SearchBudget,
     antimorphism_facts,
     automorphism_group,
@@ -200,7 +199,7 @@ def cmd_antimorph(args) -> dict:
     if antis:
         order, fixed = antimorphism_facts(antis[0], g)
         report["first"] = {
-            "image": list(antis[0].image),
+            "image": list(antis[0]),
             "order": order,
             "fixed_points": sorted(fixed),
         }
@@ -362,9 +361,8 @@ def cmd_hamilton(args) -> dict:
                 u, v = (int(x) for x in args.endpoints.split(","))
             except ValueError as e:
                 raise InputError(f"bad --endpoints {args.endpoints!r}: expected U,V") from e
-            if u == v or not (0 <= u < g.n and 0 <= v < g.n):
-                raise InputError(f"path_between needs two distinct vertices below {g.n}")
-            report["witness"] = hamiltonian(g, "path_between", u, v, budget=budget)
+            with precondition():  # two distinct endpoints in range
+                report["witness"] = hamiltonian(g, "path_between", u, v, budget=budget)
         elif args.mode == "connected":
             got = hamiltonian(g, "connected", budget=budget)
             report["hamiltonian_connected"] = got is not None
@@ -400,7 +398,7 @@ def cmd_invariants(args) -> dict:
 
 def _verify_exa1() -> dict:
     g = exa1_graph()
-    order, fixed = antimorphism_facts(Permutation(exa1_antimorphism()), g)
+    order, fixed = antimorphism_facts(exa1_antimorphism(), g)
     prism = complementary_prism(g)
     psi = exa1_prism_retraction()
     image = sorted(set(psi))

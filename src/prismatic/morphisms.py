@@ -14,8 +14,9 @@ This module provides
   orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
   search, and wreath-type maps on lexicographic products.
 
-Every map produced by a search can be re-checked by the independent
-verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
+Every vertex map, a permutation included, is a tuple of images: the map
+v -> image[v].  Every map produced by a search can be re-checked by the
+independent verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
 ``verify_retraction``, which share no code with the searches.
 """
 
@@ -56,7 +57,7 @@ class SearchBudget:
 
 
 # ---------------------------------------------------------------------------
-# Permutations and vertex maps.
+# Permutations, as image tuples like every other vertex map.
 # ---------------------------------------------------------------------------
 
 
@@ -72,61 +73,19 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0..n-1} stored as an image tuple."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        image = tuple(self.image)
-        object.__setattr__(self, "image", image)
-        if sorted(image) != list(range(len(image))):
-            raise ValueError("not a permutation")
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(x) = self(other(x))."""
-        if other.n != self.n:
-            raise ValueError("degree mismatch")
-        return Permutation(_compose(self.image, other.image))
-
-    __mul__ = compose
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.image))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.image[start]
-            while x != start:
-                cyc.append(x)
+def _order(p: Sequence[int]) -> int:
+    """The order of the permutation p: the lcm of its cycle lengths."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        if not seen[start]:
+            length, x = 0, start
+            while not seen[x]:
                 seen[x] = True
-                x = self.image[x]
-            out.append(tuple(cyc))
-        return out
-
-    def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.n else 1
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(v for v, x in enumerate(self.image) if v == x)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
+                x = p[x]
+                length += 1
+            order = lcm(order, length)
+    return order
 
 
 # Independent verifiers -- deliberately plain double loops, sharing nothing
@@ -233,7 +192,7 @@ def _extend(adj1, adj2, cand, assigned, img, limit, results) -> bool:
     many short searches of ``automorphism_group`` leave no reference
     cycles behind for the garbage collector."""
     if assigned == (1 << len(cand)) - 1:
-        results.append(Permutation(tuple(img)))
+        results.append(tuple(img))
         return limit is not None and len(results) >= limit
     v, count = _branch_vertex(cand, assigned)
     if count == 0:
@@ -248,25 +207,28 @@ def _extend(adj1, adj2, cand, assigned, img, limit, results) -> bool:
     return False
 
 
-def find_isomorphisms(g1: Graph, g2: Graph, limit: int | None = None) -> list[Permutation]:
+def find_isomorphisms(
+    g1: Graph, g2: Graph, limit: int | None = None
+) -> list[tuple[int, ...]]:
     """All (or the first ``limit``) isomorphisms g1 -> g2.
 
     Backtracking over per-vertex candidate bitmasks: always branch on the
     unassigned vertex with the fewest candidates (ties broken by index),
     propagating adjacency both ways (edge iff edge) plus injectivity.
-    An empty list means the graphs are not isomorphic.
+    An empty list means the graphs are not isomorphic; the null graph's
+    map is the empty tuple, so test the list, not a map.
     """
     if limit is not None and limit <= 0:
         return []
     init = _initial_candidates(g1, g2)
     if init is None:
         return []
-    results: list[Permutation] = []
+    results: list[tuple[int, ...]] = []
     _extend(g1.adj, g2.adj, init, 0, [-1] * g1.n, limit, results)
     return results
 
 
-def find_antimorphisms(g: Graph, limit: int | None = None) -> list[Permutation]:
+def find_antimorphisms(g: Graph, limit: int | None = None) -> list[tuple[int, ...]]:
     """Isomorphisms from g onto its complement."""
     return find_isomorphisms(g, g.complement(), limit=limit)
 
@@ -275,17 +237,18 @@ def is_self_complementary(g: Graph) -> bool:
     return bool(find_antimorphisms(g, limit=1))
 
 
-def antimorphism_facts(sigma: Permutation, g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Order and fixed points of a verified antimorphism of g.
+def antimorphism_facts(sigma: Sequence[int], g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Order and fixed points of a verified antimorphism of g, given as an
+    image sequence.
 
     For a self-complementary graph on more than one vertex the order is
     divisible by four; when g is in addition regular the antimorphism has
     exactly one fixed point.  Raises ValueError if sigma is not an
     antimorphism of g.
     """
-    if not is_antimorphism_map(g, sigma.image):
+    if not is_antimorphism_map(g, sigma):
         raise ValueError("map is not an antimorphism of the graph")
-    return sigma.order(), sigma.fixed_points()
+    return _order(sigma), tuple(v for v, x in enumerate(sigma) if v == x)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +392,15 @@ def verify_retraction(g: Graph, image: Sequence[int], claimed_core) -> bool:
     ``claimed_core``.
 
     True iff the map is total on V(g), edge-preserving, has image inside
-    claimed_core, and fixes claimed_core pointwise.
+    claimed_core, and fixes claimed_core pointwise; False, never an error,
+    for a map or claimed core that leaves V(g).
     """
     core = set(claimed_core)
     if len(image) != g.n:
         return False
     if any(not 0 <= x < g.n for x in image):
+        return False
+    if any(not 0 <= x < g.n for x in core):
         return False
     if any(image[x] not in core for x in range(g.n)):
         return False
@@ -573,7 +539,7 @@ class GroupDescription:
     product of the transversal sizes.
     """
 
-    generators: tuple[Permutation, ...]
+    generators: tuple[tuple[int, ...], ...]
     order: int
     orbits: tuple[tuple[int, ...], ...]
     degree: int
@@ -583,10 +549,11 @@ class GroupDescription:
     def is_transitive(self) -> bool:
         return len(self.orbits) == 1
 
-    def __contains__(self, perm: Permutation) -> bool:
-        """Membership by sifting through the stabilizer chain."""
-        h = perm.image
-        if len(h) != self.degree:
+    def __contains__(self, perm: Sequence[int]) -> bool:
+        """Membership by sifting through the stabilizer chain; False for
+        anything that is not a permutation of {0..degree-1}."""
+        h = tuple(perm)
+        if sorted(h) != list(range(self.degree)):
             return False
         for b, level in zip(self.base, self.transversals):
             entry = level.get(h[b])
@@ -596,7 +563,7 @@ class GroupDescription:
         return h == tuple(range(self.degree))
 
     @property
-    def elements(self) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[tuple[int, ...], ...]:
         """Every element, sorted by image; only for groups of at most
         ELEMENT_LIST_MAX elements."""
         if self.order > ELEMENT_LIST_MAX:
@@ -604,7 +571,7 @@ class GroupDescription:
         elems = [tuple(range(self.degree))]
         for level in reversed(self.transversals):
             elems = [_compose(u, h) for u, _ in level.values() for h in elems]
-        return tuple(Permutation(e) for e in sorted(elems))
+        return tuple(sorted(elems))
 
 
 def orbits_of(perms, n: int) -> tuple[tuple[int, ...], ...]:
@@ -625,7 +592,7 @@ def _orbit(perms, v: int) -> set[int]:
     queue = [v]
     for x in queue:
         for p in perms:
-            y = p.image[x]
+            y = p[x]
             if y not in orbit:
                 orbit.add(y)
                 queue.append(y)
@@ -711,16 +678,17 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int):
 
 def group_tools(generators, degree: int) -> GroupDescription:
     """The group generated by ``generators``, permutations of
-    {0..degree-1}, with its stabilizer chain.
+    {0..degree-1} as image sequences, with its stabilizer chain.
 
-    Identity generators and duplicates are dropped.
+    Identity generators and duplicates are dropped.  Raises ValueError for
+    a generator that is not a permutation of {0..degree-1}.
     """
-    uniq = {p.image: p for p in generators}
-    if any(len(image) != degree for image in uniq):
-        raise ValueError("degree mismatch")
-    uniq.pop(tuple(range(degree)), None)
-    gens = tuple(uniq[k] for k in sorted(uniq))
-    base, transversals = _schreier_sims([p.image for p in gens], degree)
+    uniq = {tuple(p) for p in generators}
+    if any(sorted(p) != list(range(degree)) for p in uniq):
+        raise ValueError(f"generator is not a permutation of range({degree})")
+    uniq.discard(tuple(range(degree)))
+    gens = tuple(sorted(uniq))
+    base, transversals = _schreier_sims(list(gens), degree)
     order = 1
     for level in transversals:
         order *= len(level)
@@ -743,7 +711,7 @@ def same_group(a: GroupDescription, b: GroupDescription) -> bool:
     )
 
 
-def automorphism_generators(g: Graph) -> tuple[list[Permutation], int]:
+def automorphism_generators(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     """Generators of Aut(g) by orbit-pruned search, and the group's order.
 
     The search first walks the identity path of the isomorphism search tree
@@ -767,7 +735,7 @@ def automorphism_generators(g: Graph) -> tuple[list[Permutation], int]:
         cand = _assign(adj, adj, cand, assigned, v, v)
         assigned |= 1 << v
 
-    gens: list[Permutation] = []
+    gens: list[tuple[int, ...]] = []
     order = 1
     for cand, assigned, v in reversed(path):
         orbit = {v}  # the generators found so far, all deeper, fix v
@@ -779,13 +747,13 @@ def automorphism_generators(g: Graph) -> tuple[list[Permutation], int]:
                 continue
             img = [x if assigned >> x & 1 else -1 for x in range(n)]
             img[v] = u
-            found: list[Permutation] = []
+            found: list[tuple[int, ...]] = []
             if _extend(adj, adj, nxt, assigned | 1 << v, img, 1, found):
                 gens.append(found[0])
                 orbit = _orbit(gens, v)
         order *= len(orbit)
     for p in gens:
-        if not is_isomorphism_map(g, g, p.image):
+        if not is_isomorphism_map(g, g, p):
             raise AssertionError("search produced a non-automorphism")
     return gens, order
 
@@ -807,53 +775,52 @@ def is_vertex_transitive(g: Graph) -> bool:
     return automorphism_group(g).is_transitive()
 
 
-def has_regular_subgroup(group: GroupDescription, n: int) -> list[Permutation] | None:
+def has_regular_subgroup(group: GroupDescription, n: int) -> list[tuple[int, ...]] | None:
     """Exhaustive search for a subgroup acting regularly on {0..n-1}.
 
     A regular subgroup has exactly one element sending 0 to each vertex, so
     the search picks one candidate per target and propagates forced
-    products/inverses.  Returns the subgroup's elements, or None when the
-    exhaustive search rules one out.  (By a classical result, a graph is a
-    Cayley graph iff its automorphism group has such a subgroup.)
+    products/inverses.  Returns the subgroup's elements, sorted, or None
+    when the exhaustive search rules one out.  (By a classical result, a
+    graph is a Cayley graph iff its automorphism group has such a
+    subgroup.)
     """
     if group.degree != n:
         raise ValueError("group degree does not match n")
     elements = group.elements
-    elems_set = {p.image for p in elements}
-    by_target: dict[int, list[Permutation]] = {t: [] for t in range(n)}
+    elems_set = set(elements)
+    by_target: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(n)}
     for p in elements:
-        by_target[p.image[0]].append(p)
+        by_target[p[0]].append(p)
     if any(not v for v in by_target.values()):
         return None  # not even transitive on targets of 0
 
-    def propagate(assign: dict[int, Permutation], newcomer: Permutation) -> bool:
+    def propagate(assign: dict[int, tuple[int, ...]], newcomer: tuple[int, ...]) -> bool:
         stack = [newcomer]
         while stack:
             a = stack.pop()
-            t = a.image[0]
-            cur = assign.get(t)
+            cur = assign.get(a[0])
             if cur is not None:
-                if cur.image != a.image:
+                if cur != a:
                     return False
                 continue
-            if a.image not in elems_set:
+            if a not in elems_set:
                 return False
-            assign[t] = a
-            stack.append(a.inverse())
+            assign[a[0]] = a
+            stack.append(_invert(a))
             for b in list(assign.values()):
-                stack.append(a * b)
-                stack.append(b * a)
+                stack.append(_compose(a, b))
+                stack.append(_compose(b, a))
         return True
 
-    def search(assign: dict[int, Permutation]) -> list[Permutation] | None:
+    def search(assign: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]] | None:
         if len(assign) == n:
-            members = list(assign.values())
-            images = {p.image for p in members}
+            members = set(assign.values())
             for a in members:  # final closure sanity check
                 for b in members:
-                    if (a * b).image not in images:
+                    if _compose(a, b) not in members:
                         return None
-            return sorted(members, key=lambda p: p.image)
+            return sorted(members)
         t = min(x for x in range(n) if x not in assign)
         for cand in by_target[t]:
             trial = dict(assign)
@@ -863,7 +830,7 @@ def has_regular_subgroup(group: GroupDescription, n: int) -> list[Permutation] |
                     return res
         return None
 
-    return search({0: Permutation.identity(n)})
+    return search({0: tuple(range(n))})
 
 
 def wreath_map(g1: Graph, g2: Graph, phi, betas) -> tuple[int, ...]:

@@ -36,7 +36,6 @@ from .families import FamilySpec, family_graph
 from .graphs import Graph, bits, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
-    Permutation,
     automorphism_group,
     find_antimorphisms,
     find_isomorphisms,
@@ -113,7 +112,7 @@ def reconstruct_from_match(match: FamilyMatch) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def special_automorphism(g: Graph) -> Permutation:
+def special_automorphism(g: Graph) -> tuple[int, ...]:
     """The side-mixing prism automorphism s of a family graph.
 
     For the pendant-pair family ("C5" kind) s fixes both copies of every
@@ -128,12 +127,12 @@ def special_automorphism(g: Graph) -> Permutation:
         raise ValueError("graph is not in either family")
     perm = _special_map(g, matches[0])
     prism = complementary_prism(g)
-    if not is_isomorphism_map(prism, prism, perm.image):
+    if not is_isomorphism_map(prism, prism, perm):
         raise AssertionError("special map failed automorphism verification")
     return perm
 
 
-def _special_map(g: Graph, match: FamilyMatch) -> Permutation:
+def _special_map(g: Graph, match: FamilyMatch) -> tuple[int, ...]:
     """The table of s, unverified; callers check it against the prism."""
     n = g.n
     y, v, u, z = match.outer
@@ -157,7 +156,7 @@ def _special_map(g: Graph, match: FamilyMatch) -> Permutation:
         setmap(u, 2, z, 1)
         setmap(z, 2, y, 2)
 
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +175,7 @@ class RatioClass:
 
 
 def ratio_class(
-    matches: Sequence[FamilyMatch], antimorphism: Permutation | None
+    matches: Sequence[FamilyMatch], antimorphism: tuple[int, ...] | None
 ) -> RatioClass:
     """Decide which structure theorem describes Aut(prism of g).
 
@@ -218,7 +217,7 @@ class PrismStructure:
     graph: Graph
     matches: tuple[FamilyMatch, ...]
     base_group: GroupDescription
-    antimorphism: Permutation | None
+    antimorphism: tuple[int, ...] | None
     group: GroupDescription
     ratio: RatioClass
 
@@ -237,7 +236,7 @@ class PrismStructure:
         if not self.matches:
             n = self.graph.n
             for p in brute.generators:
-                if sum(p.image[v] >= n for v in range(n)) not in (0, n):
+                if sum(p[v] >= n for v in range(n)) not in (0, n):
                     raise AssertionError("automorphism dichotomy failed" + where)
 
 
@@ -263,16 +262,14 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
     anti = next(iter(find_antimorphisms(g, limit=1)), None)
     ratio = ratio_class(matches, anti)
 
-    generators = [
-        Permutation(p.image + tuple(n + x for x in p.image)) for p in base_group.generators
-    ]
+    generators = [p + tuple(n + x for x in p) for p in base_group.generators]
     if anti is not None:
-        generators.append(Permutation(tuple(n + x for x in anti.image) + anti.image))
+        generators.append(tuple(n + x for x in anti) + anti)
     if matches:
         generators.append(_special_map(g, matches[0]))
 
     for p in generators:
-        if not is_isomorphism_map(prism, prism, p.image):
+        if not is_isomorphism_map(prism, prism, p):
             raise AssertionError("structured generator failed verification")
     group = group_tools(generators, 2 * n)
     return PrismStructure(g, matches, base_group, anti, group, ratio)

@@ -506,8 +506,8 @@ def hamiltonian(
     budget: SearchBudget | None = None,
 ):
     """Hamiltonian search: mode is "path", "cycle", "path_between" (with
-    endpoints u, v) or "connected" (every pair, returns a dict of verified
-    paths or None).
+    endpoints u, v; ValueError unless they are two distinct vertices of g)
+    or "connected" (every pair, returns a dict of verified paths or None).
 
     Witnesses are verified edge-by-edge before being returned; None means
     the exhaustive search proved nonexistence (a BudgetExhausted escape
@@ -534,10 +534,8 @@ def hamiltonian(
                 return _check_ham_path(g, got, closed=True)
         return None
     if mode == "path_between":
-        if u is None or v is None or u == v:
-            raise ValueError("path_between needs two distinct endpoints")
-        if n == 1:
-            return None
+        if u is None or v is None or u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"path_between needs two distinct endpoints below {n}")
         got = _ham_path_from(g, u, v, budget)
         return _check_ham_path(g, got, ends=(u, v)) if got else None
     if mode == "connected":

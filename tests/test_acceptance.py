@@ -36,7 +36,6 @@ from prismatic.graphs import (
     star_graph,
 )
 from prismatic.morphisms import (
-    Permutation,
     antimorphism_facts,
     automorphism_group,
     compute_core,
@@ -121,9 +120,7 @@ def test_criterion_02_ratio_theorem_sweep(capsys):
                 # [DERIVED] the structurally assembled group equals the
                 # brute-force group element-for-element
                 assert structured.order == brute.order, g.edges()
-                assert {p.image for p in structured.elements} == {
-                    p.image for p in brute.elements
-                }
+                assert structured.elements == brute.elements
                 # [PAPER] the only possible ratios are 1, 2, 4 and 12
                 r = ratio_class(record.matches, record.antimorphism)
                 assert r.value in (1, 2, 4, 12)
@@ -134,8 +131,8 @@ def test_criterion_02_ratio_theorem_sweep(capsys):
                 # preserves the two sides or swaps them wholesale
                 if not detect_family(g):
                     for p in brute.elements:
-                        across = sum(1 for v in range(n) if p.image[v] >= n)
-                        assert across in (0, n), (g.edges(), p.image)
+                        across = sum(1 for v in range(n) if p[v] >= n)
+                        assert across in (0, n), (g.edges(), p)
                 count += 1
         assert count == 1099  # [TRIVIAL] number of labelled graphs on <=5 vertices
         assert seen_ratios == {1, 2, 4, 12}
@@ -192,7 +189,7 @@ def test_criterion_05_cores(capsys):
         e = exa1_graph()
         sigma = exa1_antimorphism()
         assert is_antimorphism_map(e, sigma)
-        assert antimorphism_facts(Permutation(sigma), e) == (4, (0,))
+        assert antimorphism_facts(sigma, e) == (4, (0,))
         prism = complementary_prism(e)
         psi = exa1_prism_retraction()
         assert verify_retraction(prism, psi, sorted(set(psi)))
@@ -363,7 +360,7 @@ def test_criterion_12_lexicographic_products(capsys):
                 betas = [
                     [mask >> a & 1, 1 - (mask >> a & 1)] for a in range(5)
                 ]
-                wm = wreath_map(c5, k2, phi.image, betas)
+                wm = wreath_map(c5, k2, phi, betas)
                 assert is_isomorphism_map(product, product, wm)
                 images.add(wm)
         # [PAPER] wreath-style maps give |Aut(C5)| * 2^5 = 320 automorphisms

@@ -23,7 +23,6 @@ from prismatic.fields import get_field
 from prismatic.graphio import load_fixture
 from prismatic.graphs import complete_graph, cycle_graph, empty_graph, path_graph
 from prismatic.morphisms import (
-    Permutation,
     antimorphism_facts,
     find_antimorphisms,
     find_isomorphisms,
@@ -218,7 +217,7 @@ def test_exa1_shape_and_antimorphism():
     assert g.n == 13 and g.degrees() == [6] * 13
     sigma = exa1_antimorphism()
     assert is_antimorphism_map(g, sigma)
-    order, fixed = antimorphism_facts(Permutation(sigma), g)
+    order, fixed = antimorphism_facts(sigma, g)
     assert order == 4 and fixed == (0,)
 
 

@@ -3,7 +3,14 @@ from collections import deque
 
 import pytest
 
-from prismatic.families import figure_f9, kneser_graph, paley_graph, petersen_graph
+from prismatic.families import (
+    FamilySpec,
+    family_graph,
+    figure_f9,
+    kneser_graph,
+    paley_graph,
+    petersen_graph,
+)
 from prismatic.graphs import (
     Graph,
     bits,
@@ -18,9 +25,9 @@ from prismatic.graphs import (
 from prismatic.morphisms import (
     BudgetExhausted,
     CoreReport,
-    Permutation,
     SearchBudget,
     antimorphism_facts,
+    automorphism_generators,
     automorphism_group,
     compute_core,
     find_antimorphisms,
@@ -38,27 +45,63 @@ from prismatic.morphisms import (
     verify_retraction,
     wreath_map,
 )
-from prismatic.morphisms import _branch_vertex, _stabilized_retraction
+from prismatic.morphisms import _branch_vertex, _compose, _invert, _order, _stabilized_retraction
+from prismatic.prisms import special_automorphism, structured_prism_aut
 from prismatic.structural import max_clique
 
-# -- permutation algebra ------------------------------------------------------
+# -- permutations as image tuples ---------------------------------------------
 
 
 def test_permutation_basics():
-    p = Permutation((1, 2, 0, 3))
-    q = Permutation((0, 1, 3, 2))
-    assert (p * q).image == (1, 2, 3, 0)  # p after q
-    assert (p * p.inverse()).image == Permutation.identity(4).image
-    assert p.order() == 3 and q.order() == 2
-    assert p.fixed_points() == (3,)
-    assert sorted(len(c) for c in p.cycles()) == [1, 3]
+    p, q = (1, 2, 0, 3), (0, 1, 3, 2)
+    assert _compose(p, q) == (1, 2, 3, 0)  # p after q
+    assert _compose(p, _invert(p)) == (0, 1, 2, 3)
+    assert _order(p) == 3 and _order(q) == 2 and _order(()) == 1
+    # order and fixed points of an antimorphism, as image tuple or list
+    p4 = path_graph(4)
+    for sigma in find_antimorphisms(p4):
+        assert antimorphism_facts(sigma, p4) == (4, ())
+    assert antimorphism_facts([0, 2, 4, 1, 3], cycle_graph(5)) == (4, (0,))  # x -> 2x
+    g = paley_graph(9)
+    facts = [antimorphism_facts(s, g) for s in find_antimorphisms(g)]
+    assert len(facts) == 72
+    assert all(order % 4 == 0 and len(fixed) == 1 for order, fixed in facts)
+    with pytest.raises(ValueError):
+        antimorphism_facts((1, 2, 0, 3), p4)  # a permutation, not an antimorphism
 
 
 def test_permutation_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
-    with pytest.raises(ValueError):
-        Permutation((0, 2))
+    # group_tools is where outside generators enter: it rejects non-bijections
+    for bad in [(0, 0, 1), (0, 2), (1, 0), (0, 1, 2, 3), (0, 1, 3)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            group_tools([(1, 2, 0), bad], 3)
+    # membership answers False for them, and never raises while sifting
+    grp = group_tools([(1, 2, 0)], 3)
+    assert (2, 0, 1) in grp and [2, 0, 1] in grp and (1, 0, 2) not in grp
+    for bad in [(0, 0, 1), (0, 7, 1), (0, 1, -1), (0, 1), (0, 1, 2, 3), ()]:
+        assert bad not in grp
+
+
+def test_every_returned_map_is_a_plain_tuple_of_ints():
+    c5, c6, p4, pet = cycle_graph(5), cycle_graph(6), path_graph(4), petersen_graph()
+    null = empty_graph(0)
+    group = automorphism_group(c5)
+    maps = {
+        "find_isomorphisms": find_isomorphisms(c5, c5) + find_isomorphisms(null, null),
+        "find_antimorphisms": find_antimorphisms(p4),
+        "automorphism_generators": automorphism_generators(pet)[0],
+        "generators": list(group.generators),
+        "elements": list(group.elements),
+        "special_automorphism": [special_automorphism(family_graph(FamilySpec("C5", p4)))],
+        "has_regular_subgroup": has_regular_subgroup(automorphism_group(c6), 6),
+        "find_homomorphism": [find_homomorphism(c5, complete_graph(3)), find_homomorphism(null, p4)],
+        "retraction": [compute_core(c6).retraction, compute_core(null).retraction],
+        "antimorphism": [structured_prism_aut(p4).antimorphism],
+    }
+    for name, found in maps.items():
+        assert found, name
+        for m in found:
+            assert type(m) is tuple and all(type(x) is int for x in m), (name, m)
 
 
 # -- verifiers ----------------------------------------------------------------
@@ -130,7 +173,7 @@ def test_is_antimorphism_map_paley5_doubling():
     g = paley_graph(5)
     sigma = [(2 * x) % 5 for x in range(5)]
     assert is_antimorphism_map(g, sigma)
-    order, fixed = antimorphism_facts(Permutation(sigma), g)
+    order, fixed = antimorphism_facts(sigma, g)
     assert order == 4 and fixed == (0,)
 
 
@@ -166,8 +209,7 @@ def test_path4_antimorphisms():
     sigmas = find_antimorphisms(path_graph(4))
     assert len(sigmas) == 2
     for s in sigmas:
-        assert s.order() == 4
-        assert s.fixed_points() == ()  # no fixed point when n is even
+        assert antimorphism_facts(s, path_graph(4)) == (4, ())  # no fixed point, n even
 
 
 def test_paley9_antimorphism_structure():
@@ -177,15 +219,16 @@ def test_paley9_antimorphism_structure():
     # antimorphisms form a coset of the automorphism group
     assert len(sigmas) == len(auts) == 72
     for s in sigmas:
-        assert s.order() % 4 == 0
+        order, fixed = antimorphism_facts(s, g)
+        assert order % 4 == 0
         # 4-regular self-complementary on 9 vertices: exactly one fixed point
-        assert len(s.fixed_points()) == 1
+        assert len(fixed) == 1
     # composition parity
     for s in sigmas[:3]:
         for t in sigmas[:3]:
-            assert is_isomorphism_map(g, g, (s * t).image)
+            assert is_isomorphism_map(g, g, _compose(s, t))
         for a in auts[:3]:
-            assert is_antimorphism_map(g, (s * a).image)
+            assert is_antimorphism_map(g, _compose(s, a))
 
 
 def test_is_self_complementary():
@@ -416,6 +459,9 @@ def test_verify_retraction():
     assert not verify_retraction(c6, [0, 0, 0, 0, 0, 0], [0])
     # image must lie inside the claimed core
     assert not verify_retraction(c6, [0, 1, 0, 1, 0, 1], [0])
+    # a claimed core outside V(g) is a "no", not an error
+    assert not verify_retraction(complete_graph(1), [0], [0, 3])
+    assert not verify_retraction(c6, [0, 1, 0, 1, 0, 1], [0, 1, -1])
 
 
 def test_core_of_even_cycle_is_an_edge():
@@ -617,43 +663,42 @@ class CapExceeded(Exception):
     """Raised when a group closure grows past its configured cap."""
 
 
-def close_under_composition(perms, cap: int = 10**6) -> list[Permutation]:
-    """BFS closure of a set of permutations under composition: the
-    brute-force reference for the Schreier-Sims chain of ``group_tools``.
+def close_under_composition(perms, cap: int = 10**6) -> list[tuple[int, ...]]:
+    """BFS closure of a set of permutations (image tuples) under
+    composition: the brute-force reference for the Schreier-Sims chain of
+    ``group_tools``.
 
     The identity is always included.  Raises CapExceeded past ``cap``.
     """
     perms = list(perms)
     if not perms:
         raise ValueError("need at least one permutation")
-    n = perms[0].n
-    ident = Permutation.identity(n)
-    known = {ident.image: ident}
+    n = len(perms[0])
+    ident = tuple(range(n))
+    known = {ident}
     frontier = [ident]
-    gens = []
     for p in perms:
-        if p.n != n:
+        if len(p) != n:
             raise ValueError("degree mismatch")
-        if p.image not in known:
-            known[p.image] = p
+        if p not in known:
+            known.add(p)
             frontier.append(p)
-        gens.append(p)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in gens:
-                c = a * b
-                if c.image not in known:
-                    known[c.image] = c
+            for b in perms:
+                c = tuple(a[x] for x in b)  # a after b
+                if c not in known:
+                    known.add(c)
                     nxt.append(c)
                     if len(known) > cap:
                         raise CapExceeded(f"closure exceeded cap {cap}")
         frontier = nxt
-    return sorted(known.values(), key=lambda p: p.image)
+    return sorted(known)
 
 
 def test_close_under_composition_generates_s3():
-    gens = [Permutation((1, 0, 2)), Permutation((1, 2, 0))]
+    gens = [(1, 0, 2), (1, 2, 0)]
     group = close_under_composition(gens)
     assert len(group) == 6
     with pytest.raises(CapExceeded):
@@ -661,7 +706,7 @@ def test_close_under_composition_generates_s3():
 
 
 def test_group_tools_dedupes():
-    grp = group_tools([Permutation.identity(3)] * 4, 3)
+    grp = group_tools([(0, 1, 2)] * 4, 3)
     assert grp.order == 1 and grp.generators == ()
 
 
@@ -677,7 +722,7 @@ def test_automorphism_group_matches_full_enumeration_on_random_graphs():
             assert grp.order == len(full), g.edges()
             assert grp.degree == g.n
             assert grp.orbits == orbits_of(full, g.n)
-            assert {p.image for p in grp.elements} == {p.image for p in full}
+            assert grp.elements == tuple(sorted(full))
             assert all(p in grp for p in full)
 
 
@@ -700,7 +745,7 @@ def random_generators(rng, n):
         else:  # a rotation of the first m points
             m, shift = rng.randint(1, n), rng.randrange(n)
             image[:m] = [(x + shift) % m for x in range(m)]
-        gens.append(Permutation(tuple(image)))
+        gens.append(tuple(image))
     return gens
 
 
@@ -710,29 +755,29 @@ def test_schreier_sims_matches_closure_on_random_generators():
         n = rng.randint(2, 7)
         gens = random_generators(rng, n)
         closure = close_under_composition(gens)
-        members = {p.image for p in closure}
+        members = set(closure)
         grp = group_tools(gens, n)
-        assert grp.order == len(closure), [p.image for p in gens]
+        assert grp.order == len(closure), gens
         assert grp.orbits == orbits_of(closure, n)
-        assert {p.image for p in grp.elements} == members
+        assert grp.elements == tuple(closure)
         for p in closure:
             assert p in grp
         for _ in range(20):
             image = list(range(n))
             rng.shuffle(image)
-            assert (Permutation(tuple(image)) in grp) == (tuple(image) in members)
+            assert (tuple(image) in grp) == (tuple(image) in members)
 
 
 def test_group_membership_rejects_wrong_degree():
     grp = automorphism_group(cycle_graph(5))
-    assert Permutation.identity(5) in grp
-    assert Permutation.identity(6) not in grp
-    assert Permutation((1, 2, 3, 4, 0)) in grp and Permutation((1, 0, 2, 3, 4)) not in grp
+    assert tuple(range(5)) in grp
+    assert tuple(range(6)) not in grp
+    assert (1, 2, 3, 4, 0) in grp and (1, 0, 2, 3, 4) not in grp
 
 
 def test_same_group_compares_order_and_generators():
     c5 = automorphism_group(cycle_graph(5))
-    rotations = group_tools([Permutation((1, 2, 3, 4, 0))], 5)
+    rotations = group_tools([(1, 2, 3, 4, 0)], 5)
     assert same_group(c5, group_tools(c5.generators, 5))
     assert not same_group(c5, rotations)
     assert rotations.order == 5
@@ -755,7 +800,8 @@ def test_regular_subgroup_search():
     # C6 is a Cayley graph (circulant): a regular subgroup exists
     found = has_regular_subgroup(automorphism_group(cycle_graph(6)), 6)
     assert found is not None and len(found) == 6
-    images = {p.image[0] for p in found}
+    assert found == sorted(found)
+    images = {p[0] for p in found}
     assert images == set(range(6))
     # the Petersen graph is vertex-transitive but not Cayley
     assert has_regular_subgroup(automorphism_group(petersen_graph()), 10) is None
@@ -778,7 +824,7 @@ def test_wreath_map_counts_automorphisms_of_small_product():
     for phi in find_isomorphisms(p3, p3):
         for mask in range(2 ** 3):
             betas = [[mask >> a & 1, 1 - (mask >> a & 1)] for a in range(3)]
-            wm = wreath_map(p3, k2, phi.image, betas)
+            wm = wreath_map(p3, k2, phi, betas)
             assert is_isomorphism_map(product, product, wm)
             images.add(wm)
     assert len(images) == 2 * 2 ** 3

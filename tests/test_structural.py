@@ -565,6 +565,9 @@ def test_hamiltonian_path_between():
     assert hamiltonian(c4, "path_between", u=0, v=2) is None  # same parity class
     path = hamiltonian(c4, "path_between", u=0, v=1)
     assert path is not None and path[0] == 0 and path[-1] == 1
+    for u, v in [(0, 9), (0, -1), (3, 3), (0, None)]:
+        with pytest.raises(ValueError, match="two distinct endpoints below 4"):
+            hamiltonian(c4, "path_between", u, v)
 
 
 def test_hamiltonian_connected_mode():
