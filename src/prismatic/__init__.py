@@ -14,13 +14,12 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    from_adjacency,
     lexicographic_product,
     path_graph,
     prism_index,
     star_graph,
 )
-from .graphio import load_fixture, parse_graph6, write_dot, write_graph6
+from .graphio import parse_graph6, write_dot, write_graph6
 from .fields import get_field
 from .families import (
     FamilySpec,

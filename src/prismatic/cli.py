@@ -292,7 +292,7 @@ def cmd_spectrum(args) -> dict:
     numeric = numeric_spectrum(g)
     report["numeric"] = [[round(v, 12), m] for v, m in numeric.multiplicity_pairs()]
     if args.prism_closed_form:
-        with precondition():  # the closed form needs a connected regular graph
+        with precondition():  # the closed form needs a nonempty regular graph
             closed = prism_spectrum_closed_form(g)
         report["prism_closed_form"] = [[round(v, 12), m] for v, m in closed.multiplicity_pairs()]
         prism_numeric = numeric_spectrum(complementary_prism(g))

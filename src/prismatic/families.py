@@ -29,7 +29,7 @@ from itertools import combinations
 from operator import and_
 
 from .fields import get_field
-from .graphio import load_fixture
+from .graphio import parse_graph6
 from .graphs import (
     Graph,
     build_graph,
@@ -160,8 +160,10 @@ def cay_f49xf4() -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Fixture graphs from stored adjacency matrices.
+# Fixture graphs, stored as graph6.
 # ---------------------------------------------------------------------------
+
+_FIGURE_F9 = ("H{dQXgj", "H{dX`TF", "H{db?{]", "H|ogqKV")
 
 
 def figure_f9(index: int) -> Graph:
@@ -171,7 +173,7 @@ def figure_f9(index: int) -> Graph:
     """
     if index not in (1, 2, 3, 4):
         raise ValueError("figure_f9 index must be 1, 2, 3 or 4")
-    return load_fixture(f"f9_{index}")
+    return parse_graph6(_FIGURE_F9[index - 1])
 
 
 def exa1_graph() -> Graph:
@@ -180,7 +182,7 @@ def exa1_graph() -> Graph:
     Vertices 0..4 induce a K5; the complementary prism of this graph
     retracts onto that K5 (see ``exa1_prism_retraction``).
     """
-    return load_fixture("f10")
+    return parse_graph6("L~}CBLeF_{?n?~")
 
 
 def exa1_antimorphism() -> list[int]:

@@ -1,4 +1,4 @@
-"""graph6 codec, DOT export, and 0/1-grid fixture parsing.
+"""graph6 codec and DOT export.
 
 graph6 is the standard printable-ASCII encoding: a size prefix N(n) followed
 by the upper triangle of the adjacency matrix in column-major order, packed
@@ -9,9 +9,8 @@ four-byte size prefixes).
 from __future__ import annotations
 
 import binascii
-from importlib.resources import files
 
-from .graphs import Graph, bits, from_adjacency
+from .graphs import Graph, bits
 
 _MAX_N = 1 << 18
 _G6_ALPHABET = bytes(range(63, 127))
@@ -109,20 +108,3 @@ def write_dot(g: Graph) -> str:
         lines.append("  %d -- %d;" % (u, v))
     lines.append("}")
     return "\n".join(lines)
-
-
-def parse_grid(text: str) -> Graph:
-    """Parse a whitespace-separated 0/1 adjacency grid (fixture format)."""
-    rows = []
-    for line in text.strip().splitlines():
-        entries = line.split()
-        if not entries:
-            continue
-        rows.append([int(tok) for tok in entries])
-    return from_adjacency(rows)
-
-
-def load_fixture(stem: str) -> Graph:
-    """Load a packaged data/<stem>.txt adjacency grid."""
-    text = files("prismatic.data").joinpath(stem + ".txt").read_text()
-    return parse_grid(text)

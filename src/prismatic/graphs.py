@@ -3,11 +3,10 @@
 Vertices are always 0..n-1.  The adjacency row of vertex v is a Python int
 used as a bitset: bit u is set iff u ~ v.
 
-Validation happens where adjacency comes from outside: ``Graph(n, adj)`` and
-``from_adjacency`` check that every row is in range, loop-free and
-symmetric.  The other constructors make rows that are symmetric and
-loop-free by construction, and wrap them with ``Graph._trusted``, which
-skips that quadratic check:
+Validation happens where adjacency comes from outside: ``Graph(n, adj)``
+checks that every row is in range, loop-free and symmetric.  The other
+constructors make rows that are symmetric and loop-free by construction,
+and wrap them with ``Graph._trusted``, which skips that quadratic check:
 
 * ``build_graph`` rejects loops and out-of-range endpoints, then sets both
   bits of each edge;
@@ -198,21 +197,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph._trusted(n, adj)
-
-
-def from_adjacency(rows: Sequence[Sequence[int]]) -> Graph:
-    n = len(rows)
-    adj = []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        mask = 0
-        for u, bit in enumerate(row):
-            if bit not in (0, 1):
-                raise ValueError("matrix entries must be 0/1")
-            mask |= bit << u
-        adj.append(mask)
-    return Graph(n, adj)
 
 
 def empty_graph(n: int) -> Graph:

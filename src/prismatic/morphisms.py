@@ -4,8 +4,8 @@ This module provides
 
 * exhaustive isomorphism/antimorphism search (most-constrained-vertex-first
   backtracking over candidate bitmasks with forward checking),
-* homomorphism search (forward checking plus incrementally maintained arc
-  consistency, optional partial-map constraints, optional node budget),
+* homomorphism search (pin, then revise arcs to arc consistency; optional
+  partial-map constraints, optional node budget),
 * core computation by retraction descent: repeatedly find a proper
   endomorphism (one search per automorphism orbit of the retract),
   convert it into a retraction, restrict, repeat,
@@ -14,10 +14,13 @@ This module provides
   orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
   search, and wreath-type maps on lexicographic products.
 
-Every vertex map, a permutation included, is a tuple of images: the map
-v -> image[v].  Every map produced by a search can be re-checked by the
-independent verifiers ``is_homomorphism`` / ``is_isomorphism_map`` /
-``verify_retraction``, which share no code with the searches.
+Each search keeps one state, its candidate bitmasks: an assigned vertex is
+pinned to a single candidate, and the map a search returns is read off
+those singletons.  Every vertex map, a permutation included, is a tuple of
+images: the map v -> image[v].  Every map produced by a search can be
+re-checked by the independent verifiers ``is_homomorphism`` /
+``is_isomorphism_map`` / ``verify_retraction``, which share no code with
+the searches.
 """
 
 from __future__ import annotations
@@ -156,10 +159,11 @@ def _initial_candidates(g1: Graph, g2: Graph) -> list[int] | None:
 
 
 def _assign(adj1, adj2, cand: list[int], assigned: int, v: int, u: int) -> list[int] | None:
-    """Candidates after sending v to u (edge iff edge, injectivity), or None
+    """Candidates after pinning v to u (edge iff edge, injectivity), or None
     when some unassigned vertex is left without a candidate."""
     av, au = adj1[v], adj2[u]
     nxt = list(cand)
+    nxt[v] = 1 << u
     for w in range(len(cand)):
         if w == v or assigned >> w & 1:
             continue
@@ -184,26 +188,28 @@ def _branch_vertex(cand: list[int], assigned: int) -> tuple[int, int]:
     return best_v, best_c
 
 
-def _extend(adj1, adj2, cand, assigned, img, limit, results) -> bool:
+def _singletons(cand: list[int]) -> tuple[int, ...]:
+    """The map read off candidate masks that are all single bits."""
+    return tuple(c.bit_length() - 1 for c in cand)
+
+
+def _extend(adj1, adj2, cand, assigned, limit, results) -> bool:
     """Append to ``results`` the isomorphisms extending the partial map
-    ``img`` on the ``assigned`` vertices, whose forward-checked candidates
-    are ``cand``, branching at ``_branch_vertex``; True once ``limit`` maps
-    are found.  A module-level function rather than a closure, so that the
-    many short searches of ``automorphism_group`` leave no reference
-    cycles behind for the garbage collector."""
+    pinned in ``cand`` on the ``assigned`` vertices, whose other candidates
+    are forward checked, branching at ``_branch_vertex``; True once
+    ``limit`` maps are found.  A module-level function rather than a
+    closure, so that the many short searches of ``automorphism_group``
+    leave no reference cycles behind for the garbage collector."""
     if assigned == (1 << len(cand)) - 1:
-        results.append(tuple(img))
+        results.append(_singletons(cand))
         return limit is not None and len(results) >= limit
     v, count = _branch_vertex(cand, assigned)
     if count == 0:
         return False
     for u in bits(cand[v]):
         nxt = _assign(adj1, adj2, cand, assigned, v, u)
-        if nxt is not None:
-            img[v] = u
-            if _extend(adj1, adj2, nxt, assigned | 1 << v, img, limit, results):
-                return True
-            img[v] = -1
+        if nxt is not None and _extend(adj1, adj2, nxt, assigned | 1 << v, limit, results):
+            return True
     return False
 
 
@@ -224,7 +230,7 @@ def find_isomorphisms(
     if init is None:
         return []
     results: list[tuple[int, ...]] = []
-    _extend(g1.adj, g2.adj, init, 0, [-1] * g1.n, limit, results)
+    _extend(g1.adj, g2.adj, init, 0, limit, results)
     return results
 
 
@@ -294,7 +300,8 @@ def find_homomorphism(
     nbrs = [tuple(bits(row)) for row in g1.adj]
 
     def propagate(cand: list[int], assigned: int, pending: int) -> bool:
-        """Arc consistency over g1-edges between unassigned vertices.
+        """Arc consistency over g1-edges into unassigned vertices; the one
+        place a domain narrows.
 
         ``pending`` holds the vertices whose domains shrank since ``cand``
         was last arc consistent; only arcs into those are re-examined.  The
@@ -323,44 +330,32 @@ def find_homomorphism(
                     pending |= 1 << x
         return True
 
-    img = [-1] * n1
     full1 = (1 << n1) - 1
 
     if not propagate(cand, 0, full1):
         return None
 
-    def rec(cand: list[int], assigned: int) -> bool:
+    def rec(cand: list[int], assigned: int) -> list[int] | None:
+        """The domains of the first leaf below this node, all pinned, or
+        None when the subtree has no leaf."""
         budget.spend()
         if assigned == full1:
-            return True
+            return cand
         v = _branch_vertex(cand, assigned)[0]
         assigned |= 1 << v
         for u in bits(cand[v]):
-            au = adj2[u]
             nxt = list(cand)
             nxt[v] = 1 << u
-            changed = 0
-            for w in nbrs[v]:
-                if assigned >> w & 1:
-                    continue
-                cw = nxt[w]
-                m = cw & au
-                if m != cw:
-                    if not m:
-                        break
-                    nxt[w] = m
-                    changed |= 1 << w
-            else:  # forward checking left every neighbour a candidate
-                if propagate(nxt, assigned, changed):
-                    img[v] = u
-                    if rec(nxt, assigned):
-                        return True
-                    img[v] = -1
-        return False
-
-    if not rec(cand, 0):
+            if propagate(nxt, assigned, 1 << v):
+                leaf = rec(nxt, assigned)
+                if leaf is not None:
+                    return leaf
         return None
-    result = tuple(img)
+
+    leaf = rec(cand, 0)
+    if leaf is None:
+        return None
+    result = _singletons(leaf)
     if not is_homomorphism(g1, g2, result):
         raise AssertionError("search produced a non-homomorphism")
     return result
@@ -482,14 +477,13 @@ def compute_core(
     from .structural import max_clique  # structural imports this module
 
     status = "ok"
-    while True:
-        sub = g.induced(current)
-        m = sub.n
-        omega = len(max_clique(sub)) if m <= 60 else None
-        progressed = False
-        # orbits_of lists each orbit sorted, in ascending order of its least vertex
-        orbits = orbits_of(automorphism_generators(sub)[0], m)
-        try:
+    try:
+        while True:
+            sub = g.induced(current)
+            m = sub.n
+            omega = len(max_clique(sub)) if m <= 60 else None
+            # orbits_of lists each orbit sorted, in ascending order of its least vertex
+            orbits = orbits_of(automorphism_generators(sub)[0], m)
             for pos in (orbit[0] for orbit in orbits):
                 keep = [i for i in range(m) if i != pos]
                 target = sub.induced(keep)
@@ -502,12 +496,11 @@ def compute_core(
                 # composing with the retraction collected so far.
                 endo_global = {current[i]: current[keep[x]] for i, x in enumerate(found)}
                 fold_full([endo_global[psi[x]] for x in range(n)])
-                progressed = True
                 break
-        except BudgetExhausted:
-            status = "unknown"
-        if status == "unknown" or not progressed:
-            break
+            else:  # no vertex can be dropped: the retract is a core
+                break
+    except BudgetExhausted:
+        status = "unknown"
 
     if not verify_retraction(g, psi, current):
         raise AssertionError("computed map failed retraction verification")
@@ -555,12 +548,7 @@ class GroupDescription:
         h = tuple(perm)
         if sorted(h) != list(range(self.degree)):
             return False
-        for b, level in zip(self.base, self.transversals):
-            entry = level.get(h[b])
-            if entry is None:
-                return False
-            h = _compose(entry[1], h)
-        return h == tuple(range(self.degree))
+        return _sift(self.base, self.transversals, h, 0)[0] == tuple(range(self.degree))
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -599,6 +587,18 @@ def _orbit(perms, v: int) -> set[int]:
     return orbit
 
 
+def _sift(base, trans, h: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
+    """Sift h through levels i, i+1, ... of a stabilizer chain: the residue
+    and the level it stopped at (len(base) when it passed every level)."""
+    while i < len(base):
+        entry = trans[i].get(h[base[i]])
+        if entry is None:
+            break
+        h = _compose(entry[1], h)
+        i += 1
+    return h, i
+
+
 def _schreier_sims(gens: list[tuple[int, ...]], n: int):
     """Deterministic Schreier-Sims: a base of <gens> and the transversals of
     a strong generating set.
@@ -633,15 +633,6 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int):
                     queue.append(gamma)
         trans[i] = level
 
-    def sift(h: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
-        while i < len(base):
-            entry = trans[i].get(h[base[i]])
-            if entry is None:
-                break
-            h = _compose(entry[1], h)
-            i += 1
-        return h, i
-
     def residue(i: int):
         """A nonidentity residue of a Schreier generator of level i and the
         level it stopped at, or None when every one sifts to the identity."""
@@ -651,7 +642,7 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int):
                 target, target_inv = trans[i][s[beta]]
                 if su == target:
                     continue  # a tree edge of the orbit: the identity
-                h, j = sift(_compose(target_inv, su), i + 1)
+                h, j = _sift(base, trans, _compose(target_inv, su), i + 1)
                 if h != ident:
                     return h, j
         return None
@@ -745,10 +736,8 @@ def automorphism_generators(g: Graph) -> tuple[list[tuple[int, ...]], int]:
             nxt = _assign(adj, adj, cand, assigned, v, u)
             if nxt is None:
                 continue
-            img = [x if assigned >> x & 1 else -1 for x in range(n)]
-            img[v] = u
             found: list[tuple[int, ...]] = []
-            if _extend(adj, adj, nxt, assigned | 1 << v, img, 1, found):
+            if _extend(adj, adj, nxt, assigned | 1 << v, 1, found):
                 gens.append(found[0])
                 orbit = _orbit(gens, v)
         order *= len(orbit)
@@ -787,6 +776,8 @@ def has_regular_subgroup(group: GroupDescription, n: int) -> list[tuple[int, ...
     """
     if group.degree != n:
         raise ValueError("group degree does not match n")
+    if n == 0:
+        raise ValueError("a regular subgroup on no points is undefined")
     elements = group.elements
     elems_set = set(elements)
     by_target: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(n)}

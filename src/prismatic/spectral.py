@@ -2,14 +2,19 @@
 
 Two independent routes to prism spectra are kept deliberately separate: a
 numeric eigensolver (LAPACK ``eigvalsh`` on the adjacency matrix) and the
-closed form for the complementary prism of a connected regular graph.  Tests
-compare the two; neither is ever derived from the other.
+closed form for the complementary prism of a regular graph.  Tests compare
+the two; neither is ever derived from the other.
 
-For a connected k-regular graph G on n vertices with adjacency eigenvalues
+For a k-regular graph G on n vertices with adjacency eigenvalues
 k = l1 >= l2 >= ... >= ln, the prism spectrum is
 
     (n - 1 +- sqrt((n - 1 - 2k)^2 + 4)) / 2        (one pair, from l1)
     (-1 +- sqrt((2 li + 1)^2 + 4)) / 2             (one pair per i >= 2)
+
+The first pair comes from the all-ones vector, an eigenvector of every
+regular graph, and the others from eigenvectors orthogonal to it, so G
+need not be connected: a further eigenvalue k of a disconnected G gives a
+pair of the second kind.
 """
 
 from __future__ import annotations
@@ -64,20 +69,19 @@ def numeric_spectrum(g: Graph) -> SpectrumReport:
     return SpectrumReport(n=g.n, eigenvalues=tuple(float(x) for x in eigs[::-1]))
 
 
-def _require_connected_regular(g: Graph) -> int:
+def _regular_degree(g: Graph) -> int:
+    """The common degree of a regular graph; ValueError for the null graph
+    or a graph that is not regular."""
     if g.n == 0:
         raise ValueError("empty vertex set")
-    if not g.is_connected():
-        raise ValueError("closed form requires a connected graph")
-    degs = g.degrees()
-    if len(set(degs)) != 1:
-        raise ValueError("closed form requires a regular graph")
-    return degs[0]
+    if not g.is_regular():
+        raise ValueError("requires a regular graph")
+    return g.degrees()[0]
 
 
 def prism_spectrum_closed_form(g: Graph) -> SpectrumReport:
-    """Spectrum of the complementary prism of a connected regular graph."""
-    k = _require_connected_regular(g)
+    """Spectrum of the complementary prism of a regular graph."""
+    k = _regular_degree(g)
     n = g.n
     base = numeric_spectrum(g).eigenvalues  # descending; base[0] == k
     disc = math.sqrt((n - 1 - 2 * k) ** 2 + 4)
@@ -278,12 +282,7 @@ def theta_bounds(g: Graph) -> tuple[float, float]:
     theta(g) * theta(complement) >= n this yields a lower bound n/upper
     for the complement.  The empty graph (k = 0) has theta = n exactly.
     """
-    if g.n == 0:
-        raise ValueError("empty vertex set")
-    degs = g.degrees()
-    if len(set(degs)) != 1:
-        raise ValueError("theta eigenvalue bound requires a regular graph")
-    k = degs[0]
+    k = _regular_degree(g)
     if k == 0:
         return float(g.n), 1.0
     lam_min = numeric_spectrum(g).eigenvalues[-1]
@@ -342,9 +341,7 @@ def eigenvalue_bound_checks(g: Graph) -> EigenvalueBoundReport:
     to the open threshold (sqrt(n(n-4)) - 1)/2.
     """
     n = g.n
-    degs = g.degrees()
-    if len(set(degs)) != 1:
-        raise ValueError("requires a regular graph")
+    _regular_degree(g)
     if not is_self_complementary(g):
         raise ValueError("requires a self-complementary graph")
     eigs = numeric_spectrum(g).eigenvalues

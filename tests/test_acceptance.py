@@ -25,7 +25,6 @@ from prismatic.families import (
     paley_graph,
     petersen_graph,
 )
-from prismatic.graphio import load_fixture
 from prismatic.graphs import (
     build_graph,
     complementary_prism,
@@ -269,7 +268,7 @@ def test_criterion_08_transitivity_and_cayleyness(capsys):
             ("f9_2", figure_f9(2), False),
             ("f9_3", figure_f9(3), False),
             ("f9_4", figure_f9(4), False),
-            ("f10", load_fixture("f10"), False),
+            ("f10", exa1_graph(), False),
         ]
         for name, g, expected in corpus:
             # prism_predicates cross-checks the structural characterization

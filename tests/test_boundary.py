@@ -1,9 +1,9 @@
 """Validation at the input boundary.
 
-``Graph(n, adj)`` and ``from_adjacency`` check every row; the constructors
-that build rows symmetric and loop-free by design skip that check.  These
-tests pin both halves: the strict entry points still reject bad rows, and
-every unchecked constructor's output passes the strict check.
+``Graph(n, adj)`` checks every row; the constructors that build rows
+symmetric and loop-free by design skip that check.  These tests pin both
+halves: the strict entry point still rejects bad rows, and every unchecked
+constructor's output passes the strict check.
 """
 
 import itertools
@@ -17,7 +17,6 @@ from prismatic.graphs import (
     Graph,
     build_graph,
     complementary_prism,
-    from_adjacency,
     lexicographic_product,
 )
 
@@ -97,17 +96,6 @@ def test_graph_rejects_bad_rows():
         Graph(2, [0])
     with pytest.raises(ValueError, match="vertex count must be nonnegative"):
         Graph(-1, [])
-
-
-def test_from_adjacency_rejects_bad_matrices():
-    with pytest.raises(ValueError, match="asymmetric"):
-        from_adjacency([[0, 1], [0, 0]])
-    with pytest.raises(ValueError, match="self-loop"):
-        from_adjacency([[1, 0], [0, 0]])
-    with pytest.raises(ValueError, match="not square"):
-        from_adjacency([[0, 1]])
-    with pytest.raises(ValueError, match="0/1"):
-        from_adjacency([[0, 2], [2, 0]])
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1]])

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prismatic.families import exa1_graph, figure_f9
 from prismatic.graphio import (
     _decode_size,
     _encode_size,
-    load_fixture,
     parse_graph6,
     write_dot,
     write_graph6,
@@ -157,14 +157,11 @@ def test_dot_output_mentions_all_edges():
 
 
 def test_fixture_loading():
-    for stem, n in [("f9_1", 9), ("f9_2", 9), ("f9_3", 9), ("f9_4", 9)]:
-        g = load_fixture(stem)
-        assert g.n == n
-        assert g.degrees() == [4] * 9
-    f10 = load_fixture("f10")
+    f9 = ["H{dQXgj", "H{dX`TF", "H{db?{]", "H|ogqKV"]
+    for i, text in enumerate(f9, start=1):
+        g = figure_f9(i)
+        assert g.n == 9 and g.degrees() == [4] * 9
+        assert write_graph6(g) == text
+    f10 = exa1_graph()
     assert f10.n == 13 and f10.degrees() == [6] * 13
-
-
-def test_fixture_unknown_name():
-    with pytest.raises(FileNotFoundError):
-        load_fixture("no_such_fixture")
+    assert write_graph6(f10) == "L~}CBLeF_{?n?~"

@@ -8,7 +8,6 @@ from prismatic.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    from_adjacency,
     lexicographic_product,
     path_graph,
     prism_index,
@@ -57,12 +56,6 @@ def test_induced_uses_sorted_vertex_order():
     h = g.induced([4, 0, 2])
     # sorted order (0, 2, 4) becomes (0, 1, 2)
     assert h.n == 3 and h.edge_count() == 3
-
-
-def test_from_adjacency_round_trip():
-    g = cycle_graph(6)
-    rows = [[(row >> u) & 1 for u in range(g.n)] for row in g.adj]
-    assert from_adjacency(rows).adj == g.adj
 
 
 def test_connectivity_and_diameter():

@@ -45,7 +45,15 @@ from prismatic.morphisms import (
     verify_retraction,
     wreath_map,
 )
-from prismatic.morphisms import _branch_vertex, _compose, _invert, _order, _stabilized_retraction
+from prismatic.morphisms import (
+    _branch_vertex,
+    _compose,
+    _initial_candidates,
+    _invert,
+    _orbit,
+    _order,
+    _stabilized_retraction,
+)
 from prismatic.prisms import special_automorphism, structured_prism_aut
 from prismatic.structural import max_clique
 
@@ -427,6 +435,97 @@ def test_homomorphism_search_matches_reference_on_prisms_minus_a_vertex():
         assert_same_search(prism, target, random_constraints(rng, prism, target))
 
 
+def reference_assign(adj1, adj2, cand, assigned, v, u):
+    """Forward checking after sending v to u, leaving v's own candidates
+    alone: the map lives in ``img``, not in the candidates."""
+    av, au = adj1[v], adj2[u]
+    nxt = list(cand)
+    for w in range(len(cand)):
+        if w == v or assigned >> w & 1:
+            continue
+        m = nxt[w] & (au if av >> w & 1 else ~au) & ~(1 << u)
+        if m == 0:
+            return None
+        nxt[w] = m
+    return nxt
+
+
+def reference_extend(adj1, adj2, cand, assigned, img, limit, results):
+    """The isomorphism kernel that kept its map twice, as the partial image
+    list ``img`` and as the candidates.  Kept here as the reference: the
+    kernel that reads the map off pinned candidates must list the same maps
+    in the same order."""
+    if assigned == (1 << len(cand)) - 1:
+        results.append(tuple(img))
+        return limit is not None and len(results) >= limit
+    v, count = _branch_vertex(cand, assigned)
+    if count == 0:
+        return False
+    for u in bits(cand[v]):
+        nxt = reference_assign(adj1, adj2, cand, assigned, v, u)
+        if nxt is not None:
+            img[v] = u
+            if reference_extend(adj1, adj2, nxt, assigned | 1 << v, img, limit, results):
+                return True
+            img[v] = -1
+    return False
+
+
+def reference_find_isomorphisms(g1, g2, limit=None):
+    if limit is not None and limit <= 0:
+        return []
+    init = _initial_candidates(g1, g2)
+    if init is None:
+        return []
+    results = []
+    reference_extend(g1.adj, g2.adj, init, 0, [-1] * g1.n, limit, results)
+    return results
+
+
+def reference_automorphism_generators(g):
+    """``automorphism_generators`` on ``reference_extend``, rebuilding the
+    partial map of the identity path at every level."""
+    n, adj = g.n, g.adj
+    cand = _initial_candidates(g, g)
+    path = []
+    assigned = 0
+    while assigned != (1 << n) - 1:
+        v = _branch_vertex(cand, assigned)[0]
+        path.append((cand, assigned, v))
+        cand = reference_assign(adj, adj, cand, assigned, v, v)
+        assigned |= 1 << v
+    gens, order = [], 1
+    for cand, assigned, v in reversed(path):
+        orbit = {v}
+        for u in bits(cand[v]):
+            if u in orbit:
+                continue
+            nxt = reference_assign(adj, adj, cand, assigned, v, u)
+            if nxt is None:
+                continue
+            img = [x if assigned >> x & 1 else -1 for x in range(n)]
+            img[v] = u
+            found = []
+            if reference_extend(adj, adj, nxt, assigned | 1 << v, img, 1, found):
+                gens.append(found[0])
+                orbit = _orbit(gens, v)
+        order *= len(orbit)
+    return gens, order
+
+
+def test_isomorphism_searches_match_the_image_list_reference():
+    rng = random.Random(20)
+    for _ in range(150):
+        base = random_graph(rng, rng.randint(1, 8))
+        for g in (base, complementary_prism(base)):
+            other = g.relabel(rng.sample(range(g.n), g.n))
+            assert find_isomorphisms(g, other) == reference_find_isomorphisms(g, other)
+            assert find_isomorphisms(g, g, limit=3) == reference_find_isomorphisms(g, g, limit=3)
+            assert find_antimorphisms(g) == reference_find_isomorphisms(g, g.complement())
+            assert automorphism_generators(g) == reference_automorphism_generators(g)
+    assert find_isomorphisms(empty_graph(0), empty_graph(0)) == [()]
+
+
 def test_branch_vertex_handles_candidate_sets_wider_than_the_source():
     # a homomorphism source of two vertices into a ten-vertex target
     wide = (1 << 10) - 1
@@ -805,6 +904,11 @@ def test_regular_subgroup_search():
     assert images == set(range(6))
     # the Petersen graph is vertex-transitive but not Cayley
     assert has_regular_subgroup(automorphism_group(petersen_graph()), 10) is None
+
+
+def test_regular_subgroup_of_the_null_graph_is_a_precondition_error():
+    with pytest.raises(ValueError, match="no points"):
+        has_regular_subgroup(automorphism_group(empty_graph(0)), 0)
 
 
 def test_prisms_of_pentagon_and_path_are_not_cayley():

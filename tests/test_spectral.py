@@ -4,8 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from prismatic.families import figure_f9, paley_graph, petersen_graph
-from prismatic.graphio import load_fixture
+from prismatic.families import exa1_graph, figure_f9, paley_graph, petersen_graph
 from prismatic.graphs import (
     build_graph,
     complementary_prism,
@@ -106,6 +105,10 @@ CLOSED_FORM_BASES = [
     figure_f9(3),
     figure_f9(4),
     petersen_graph(),
+    # disconnected regular bases: 2K2, 2C5 and the empty graph on 3 vertices
+    build_graph(4, [(0, 1), (2, 3)]),
+    build_graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]),
+    empty_graph(3),
 ]
 
 
@@ -126,10 +129,12 @@ def test_pentagon_prism_spectrum_is_petersen_spectrum():
 
 
 def test_closed_form_requires_connected_regular():
-    with pytest.raises(ValueError):
+    # Only regularity is required: disconnected regular bases are in
+    # CLOSED_FORM_BASES.
+    with pytest.raises(ValueError, match="regular"):
         prism_spectrum_closed_form(path_graph(4))
-    with pytest.raises(ValueError):
-        prism_spectrum_closed_form(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="empty vertex set"):
+        prism_spectrum_closed_form(empty_graph(0))
 
 
 def prism_extreme_eigenvalues(g):
@@ -298,7 +303,7 @@ def test_eigenvalue_bounds_f9(i):
 
 
 def test_eigenvalue_bounds_f10():
-    report = eigenvalue_bound_checks(load_fixture("f10"))
+    report = eigenvalue_bound_checks(exa1_graph())
     assert report.pairing_max_error < 1e-9
 
 
