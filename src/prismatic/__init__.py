@@ -80,12 +80,10 @@ from .prisms import (
     structured_prism_aut,
 )
 from .spectral import (
-    EigenvalueBoundReport,
     SpectrumReport,
     SrgAnalysis,
     SrgParams,
     WalkRegularityWitness,
-    eigenvalue_bound_checks,
     numeric_spectrum,
     prism_spectrum_closed_form,
     srg_analysis,
@@ -95,6 +93,7 @@ from .spectral import (
 from .structural import (
     BoundCheckReport,
     CheegerReport,
+    EigenvalueBoundReport,
     InvariantReport,
     KneserFactsReport,
     PrismHamReport,
@@ -102,6 +101,7 @@ from .structural import (
     cheeger_brute_force,
     cheeger_closed_form,
     chromatic_number,
+    eigenvalue_bound_checks,
     hamiltonian,
     invariants,
     kneser_facts,

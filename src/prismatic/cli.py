@@ -257,8 +257,9 @@ def cmd_classify(args) -> dict:
         "prism_is_cayley": preds.is_cayley,
         "prism_diameter": preds.diameter,
     }
-    if 2 * g.n <= 16:
-        report["prism_not_lex_product"] = not_lex_product_check(complementary_prism(g))
+    not_lex = not_lex_product_check(complementary_prism(g))
+    if not_lex is not None:  # None past the check's exhaustive cut-off
+        report["prism_not_lex_product"] = not_lex
     return report
 
 

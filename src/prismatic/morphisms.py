@@ -5,10 +5,10 @@ This module provides
 * exhaustive isomorphism/antimorphism search (most-constrained-vertex-first
   backtracking over candidate bitmasks with forward checking),
 * homomorphism search (pin, then revise arcs to arc consistency; optional
-  partial-map constraints, optional node budget),
+  per-vertex candidate masks, optional node budget),
 * core computation by retraction descent: repeatedly find a proper
-  endomorphism (one search per automorphism orbit of the retract),
-  convert it into a retraction, restrict, repeat,
+  endomorphism (one search per automorphism orbit of the retract, after a
+  clique-number bound), convert it into a retraction, restrict, repeat,
 * permutation groups as generators plus a Schreier-Sims stabilizer chain
   (order, orbits, membership), automorphism group generators by
   orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
@@ -265,36 +265,29 @@ def antimorphism_facts(sigma: Sequence[int], g: Graph) -> tuple[int, tuple[int, 
 def find_homomorphism(
     g1: Graph,
     g2: Graph,
-    constraints: dict[int, int] | None = None,
+    domains: Sequence[int] | None = None,
     budget: SearchBudget | None = None,
 ) -> tuple[int, ...] | None:
-    """Find a homomorphism g1 -> g2 extending ``constraints``, or prove none.
+    """Find a homomorphism g1 -> g2 sending each vertex v of g1 into the
+    candidate bitmask ``domains[v]`` over V(g2), or prove none.
 
-    Returns a verified image array, or None after an exhaustive search; the
-    null graph's homomorphism is the empty tuple, so test ``is None``.
-    Raises BudgetExhausted if a node budget is given and runs out, and
-    ValueError for a contradictory partial map.
+    Omitting ``domains`` allows all of g2 for every vertex; a single-bit
+    mask pins its vertex.  Returns a verified image array, or None after an
+    exhaustive search (a contradictory pin included); the null graph's
+    homomorphism is the empty tuple, so test ``is None``.  Raises
+    BudgetExhausted if a node budget is given and runs out, and ValueError
+    for masks that do not fit the two graphs.
     """
     budget = budget or SearchBudget()
     n1, n2 = g1.n, g2.n
+    full2 = (1 << n2) - 1
+    cand = [full2] * n1 if domains is None else list(domains)
+    if len(cand) != n1 or any(m & ~full2 for m in cand):
+        raise ValueError("domains need one candidate mask over g2 per vertex of g1")
     if n1 == 0:
         return ()
-    if n2 == 0:
+    if not all(cand):
         return None
-    full2 = (1 << n2) - 1
-    cand = [full2] * n1
-    if constraints:
-        for v, u in constraints.items():
-            if not (0 <= v < n1 and 0 <= u < n2):
-                raise ValueError("constraint out of range")
-            cand[v] = 1 << u
-        fixed = sorted(constraints.items())
-        for i, (v, u) in enumerate(fixed):
-            for w, x in fixed[i + 1:]:
-                if g1.has_edge(v, w) and not g2.has_edge(u, x):
-                    raise ValueError(
-                        f"contradictory partial map: edge {{{v},{w}}} sent to non-edge"
-                    )
 
     adj2 = g2.adj
     nbrs = [tuple(bits(row)) for row in g1.adj]
@@ -431,6 +424,41 @@ def _stabilized_retraction(g: Graph, endo: list[int]) -> tuple[list[int], list[i
     return image, rho
 
 
+def max_clique(g: Graph) -> tuple[int, ...]:
+    """A maximum clique, by branch and bound with a greedy coloring bound."""
+    n = g.n
+    if n == 0:
+        return ()
+    best: list[tuple[int, ...]] = [()]
+
+    def expand(mask: int, clique: list[int]):
+        order = []
+        color = 0
+        rest = mask
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append((v, color))
+                avail &= ~g.adj[v] & ~(1 << v)
+                rest &= ~(1 << v)
+        for v, c in reversed(order):
+            if len(clique) + c <= len(best[0]):
+                return
+            clique.append(v)
+            sub = mask & g.adj[v]
+            if sub:
+                expand(sub, clique)
+            elif len(clique) > len(best[0]):
+                best[0] = tuple(clique)
+            clique.pop()
+            mask &= ~(1 << v)
+
+    expand((1 << n) - 1, [])
+    return tuple(sorted(best[0]))
+
+
 def compute_core(
     g: Graph,
     budget: SearchBudget | None = None,
@@ -439,11 +467,12 @@ def compute_core(
     """Compute a core of g together with a retraction onto it.
 
     Descends by repeatedly finding a proper endomorphism of the current
-    retract (a homomorphism into the retract minus one vertex), converting
-    it into a retraction and restricting.  When no vertex can be dropped
-    (each drop either ruled out by the exhaustive search or by the clique
-    bound: a homomorphism cannot shrink the clique number), the retract is
-    a core.
+    retract (a homomorphism into the retract minus one vertex, searched in
+    the retract's own labels with that vertex cleared from every candidate
+    mask), converting it into a retraction and restricting.  When no vertex
+    can be dropped (each drop either ruled out by the exhaustive search or
+    by the clique bound: a homomorphism cannot shrink the clique number),
+    the retract is a core.
 
     Each step searches only the least vertex of each orbit of Aut(retract),
     in ascending order.  If an automorphism sigma sends v to w, then
@@ -474,27 +503,25 @@ def compute_core(
             raise ValueError("seed map is not an endomorphism")
         fold_full([seed[psi[x]] for x in range(n)])
 
-    from .structural import max_clique  # structural imports this module
-
     status = "ok"
     try:
         while True:
             sub = g.induced(current)
             m = sub.n
+            full = (1 << m) - 1
             omega = len(max_clique(sub)) if m <= 60 else None
             # orbits_of lists each orbit sorted, in ascending order of its least vertex
             orbits = orbits_of(automorphism_generators(sub)[0], m)
             for pos in (orbit[0] for orbit in orbits):
-                keep = [i for i in range(m) if i != pos]
-                target = sub.induced(keep)
-                if omega is not None and len(max_clique(target)) < omega:
+                minus = [i for i in range(m) if i != pos]
+                if omega is not None and len(max_clique(sub.induced(minus))) < omega:
                     continue  # a homomorphism cannot shrink the clique number
-                found = find_homomorphism(sub, target, budget=budget)
+                found = find_homomorphism(sub, sub, [full & ~(1 << pos)] * m, budget=budget)
                 if found is None:
                     continue
                 # Lift the local endomorphism of g[current] to one of g by
                 # composing with the retraction collected so far.
-                endo_global = {current[i]: current[keep[x]] for i, x in enumerate(found)}
+                endo_global = {current[i]: current[x] for i, x in enumerate(found)}
                 fold_full([endo_global[psi[x]] for x in range(n)])
                 break
             else:  # no vertex can be dropped: the retract is a core
@@ -764,8 +791,8 @@ def is_vertex_transitive(g: Graph) -> bool:
     return automorphism_group(g).is_transitive()
 
 
-def has_regular_subgroup(group: GroupDescription, n: int) -> list[tuple[int, ...]] | None:
-    """Exhaustive search for a subgroup acting regularly on {0..n-1}.
+def has_regular_subgroup(group: GroupDescription) -> list[tuple[int, ...]] | None:
+    """Exhaustive search for a subgroup acting regularly on {0..degree-1}.
 
     A regular subgroup has exactly one element sending 0 to each vertex, so
     the search picks one candidate per target and propagates forced
@@ -774,8 +801,7 @@ def has_regular_subgroup(group: GroupDescription, n: int) -> list[tuple[int, ...
     graph is a Cayley graph iff its automorphism group has such a
     subgroup.)
     """
-    if group.degree != n:
-        raise ValueError("group degree does not match n")
+    n = group.degree
     if n == 0:
         raise ValueError("a regular subgroup on no points is undefined")
     elements = group.elements

@@ -318,56 +318,3 @@ def thm_strg_inequality_check(n: int) -> bool:
             return False  # inequality certainly holds
         scale *= 1000
     raise ArithmeticError(f"square-root enclosure could not separate the sides at n={n}")
-
-
-@dataclass(frozen=True)
-class EigenvalueBoundReport:
-    lambda2: float
-    interlacing_bound: float | None
-    interlacing_holds: bool | None
-    open_threshold: float
-    exceeds_open_threshold: bool
-    pairing_max_error: float
-    notes: tuple[str, ...]
-
-
-def eigenvalue_bound_checks(g: Graph) -> EigenvalueBoundReport:
-    """Eigenvalue bounds specific to regular self-complementary graphs.
-
-    Checks that the spectrum pairs as {l, -1 - l} (so li = -1 - l_{n-i+2}
-    for i >= 2), evaluates the interlacing bound
-    l2 <= (n - 7)/2 - 2cos(pi (n-1)/n) when a Hamiltonian cycle is found
-    (skipped with a notice otherwise), and reports where l2 sits relative
-    to the open threshold (sqrt(n(n-4)) - 1)/2.
-    """
-    n = g.n
-    _regular_degree(g)
-    if not is_self_complementary(g):
-        raise ValueError("requires a self-complementary graph")
-    eigs = numeric_spectrum(g).eigenvalues
-    lam2 = eigs[1]
-    pairing_err = 0.0
-    for i in range(1, n):  # eigs[i] pairs with eigs[n - i]
-        pairing_err = max(pairing_err, abs(eigs[i] + 1 + eigs[n - i]))
-    notes: list[str] = []
-
-    from .structural import hamiltonian  # structural imports this module
-
-    cycle = hamiltonian(g, "cycle")
-    if cycle is None:
-        bound = None
-        holds = None
-        notes.append("no Hamiltonian cycle found; interlacing bound skipped")
-    else:
-        bound = (n - 7) / 2 - 2 * math.cos(math.pi * (n - 1) / n)
-        holds = lam2 <= bound + 1e-9
-    threshold = (math.sqrt(n * (n - 4)) - 1) / 2
-    return EigenvalueBoundReport(
-        lambda2=lam2,
-        interlacing_bound=bound,
-        interlacing_holds=holds,
-        open_threshold=threshold,
-        exceeds_open_threshold=lam2 > threshold + 1e-9,
-        pairing_max_error=pairing_err,
-        notes=tuple(notes),
-    )

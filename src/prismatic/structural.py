@@ -17,8 +17,14 @@ from itertools import combinations
 
 from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
-from .morphisms import SearchBudget, find_homomorphism, is_vertex_transitive
-from .spectral import srg_analysis
+from .morphisms import (
+    SearchBudget,
+    find_homomorphism,
+    is_self_complementary,
+    is_vertex_transitive,
+    max_clique,
+)
+from .spectral import numeric_spectrum, srg_analysis
 
 # numpy is imported inside cheeger_brute_force, its one user, so a command
 # that never reaches it starts without paying for the import.
@@ -27,41 +33,6 @@ from .spectral import srg_analysis
 # ---------------------------------------------------------------------------
 # Cliques, independent sets, colorings, connectivity.
 # ---------------------------------------------------------------------------
-
-
-def max_clique(g: Graph) -> tuple[int, ...]:
-    """A maximum clique, by branch and bound with a greedy coloring bound."""
-    n = g.n
-    if n == 0:
-        return ()
-    best: list[tuple[int, ...]] = [()]
-
-    def expand(mask: int, clique: list[int]):
-        order = []
-        color = 0
-        rest = mask
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                avail &= ~g.adj[v] & ~(1 << v)
-                rest &= ~(1 << v)
-        for v, c in reversed(order):
-            if len(clique) + c <= len(best[0]):
-                return
-            clique.append(v)
-            sub = mask & g.adj[v]
-            if sub:
-                expand(sub, clique)
-            elif len(clique) > len(best[0]):
-                best[0] = tuple(clique)
-            clique.pop()
-            mask &= ~(1 << v)
-
-    expand((1 << n) - 1, [])
-    return tuple(sorted(best[0]))
 
 
 def max_independent_set(g: Graph) -> tuple[int, ...]:
@@ -98,9 +69,10 @@ def chromatic_number(
     A k-coloring is a homomorphism g -> K_k.  chi lies between
     max(omega, ceil(n / alpha)) and the DSATUR coloring's count.  Up to
     CHROMATIC_EXACT_MAX_N vertices, each k in between is decided by
-    ``find_homomorphism(g, K_k)`` with a maximum clique pinned to colors
-    0..omega-1, which removes the symmetry of permuting the colors.  Beyond
-    that the DSATUR coloring is returned, exact only if the bounds meet.
+    ``find_homomorphism(g, K_k)`` with single-bit masks pinning a maximum
+    clique to colors 0..omega-1, which removes the symmetry of permuting
+    the colors.  Beyond that the DSATUR coloring is returned, exact only if
+    the bounds meet.
     The tests check chi against a plain backtracking search, _k_colorable.
 
     ``clique`` and ``indep`` are a maximum clique and a maximum independent
@@ -113,9 +85,10 @@ def chromatic_number(
     coloring = _dsatur_coloring(g)
     ub = max(coloring)
     if lb < ub and n <= CHROMATIC_EXACT_MAX_N:
-        pinned = {v: i for i, v in enumerate(clique)}
+        pins = {v: 1 << i for i, v in enumerate(clique)}
         for k in range(lb, ub):
-            found = find_homomorphism(g, complete_graph(k), constraints=pinned)
+            domains = [pins.get(v, (1 << k) - 1) for v in range(n)]
+            found = find_homomorphism(g, complete_graph(k), domains)
             if found is not None:
                 return k, [c + 1 for c in found], True
     return ub, coloring, lb == ub or n <= CHROMATIC_EXACT_MAX_N
@@ -702,6 +675,57 @@ def bound_checks(g: Graph) -> BoundCheckReport:
         chvatal_erdos=chvatal,
         clique_coclique=clique_coclique,
         preimage=preimage,
+    )
+
+
+@dataclass(frozen=True)
+class EigenvalueBoundReport:
+    lambda2: float
+    interlacing_bound: float | None
+    interlacing_holds: bool | None
+    open_threshold: float
+    exceeds_open_threshold: bool
+    pairing_max_error: float
+    notes: tuple[str, ...]
+
+
+def eigenvalue_bound_checks(g: Graph) -> EigenvalueBoundReport:
+    """Eigenvalue bounds specific to regular self-complementary graphs.
+
+    Checks that the spectrum pairs as {l, -1 - l} (so li = -1 - l_{n-i+2}
+    for i >= 2), evaluates the interlacing bound
+    l2 <= (n - 7)/2 - 2cos(pi (n-1)/n) when a Hamiltonian cycle is found
+    (skipped with a notice otherwise), and reports where l2 sits relative
+    to the open threshold (sqrt(n(n-4)) - 1)/2.
+    """
+    n = g.n
+    if n == 0 or not g.is_regular():
+        raise ValueError("requires a nonempty regular graph")
+    if not is_self_complementary(g):
+        raise ValueError("requires a self-complementary graph")
+    eigs = numeric_spectrum(g).eigenvalues
+    lam2 = eigs[1]
+    pairing_err = 0.0
+    for i in range(1, n):  # eigs[i] pairs with eigs[n - i]
+        pairing_err = max(pairing_err, abs(eigs[i] + 1 + eigs[n - i]))
+    notes: list[str] = []
+    cycle = hamiltonian(g, "cycle")
+    if cycle is None:
+        bound = None
+        holds = None
+        notes.append("no Hamiltonian cycle found; interlacing bound skipped")
+    else:
+        bound = (n - 7) / 2 - 2 * math.cos(math.pi * (n - 1) / n)
+        holds = lam2 <= bound + 1e-9
+    threshold = (math.sqrt(n * (n - 4)) - 1) / 2
+    return EigenvalueBoundReport(
+        lambda2=lam2,
+        interlacing_bound=bound,
+        interlacing_holds=holds,
+        open_threshold=threshold,
+        exceeds_open_threshold=lam2 > threshold + 1e-9,
+        pairing_max_error=pairing_err,
+        notes=tuple(notes),
     )
 
 

@@ -285,7 +285,7 @@ def test_criterion_08_transitivity_and_cayleyness(capsys):
         for g in (cycle_graph(5), path_graph(4)):
             prism = complementary_prism(g)
             grp = automorphism_group(prism)
-            assert has_regular_subgroup(grp, prism.n) is None
+            assert has_regular_subgroup(grp) is None
 
 
 def test_criterion_09_hamiltonian_constructions(capsys):

@@ -189,6 +189,12 @@ def test_classify_pentagon(capsys):
     assert report["prism_not_lex_product"] is True
 
 
+def test_classify_reports_the_lex_check_only_within_its_cut_off(capsys):
+    # the check is exhaustive up to 16 prism vertices, bases of 8
+    assert run_json(capsys, ["classify", "--name", "cycle:8"])["prism_not_lex_product"] is True
+    assert "prism_not_lex_product" not in run_json(capsys, ["classify", "--name", "cycle:9"])
+
+
 def test_cheeger_star_example(capsys):
     report = run_json(capsys, ["cheeger", "--name", "star:4", "--prism"])
     assert report["value"] == {"numerator": 3, "denominator": 4, "str": "3/4"}

@@ -101,7 +101,7 @@ def test_every_returned_map_is_a_plain_tuple_of_ints():
         "generators": list(group.generators),
         "elements": list(group.elements),
         "special_automorphism": [special_automorphism(family_graph(FamilySpec("C5", p4)))],
-        "has_regular_subgroup": has_regular_subgroup(automorphism_group(c6), 6),
+        "has_regular_subgroup": has_regular_subgroup(automorphism_group(c6)),
         "find_homomorphism": [find_homomorphism(c5, complete_graph(3)), find_homomorphism(null, p4)],
         "retraction": [compute_core(c6).retraction, compute_core(null).retraction],
         "antimorphism": [structured_prism_aut(p4).antimorphism],
@@ -264,16 +264,30 @@ def test_homomorphism_odd_cycle_to_triangle():
 
 def test_homomorphism_respects_constraints():
     c5, k3 = cycle_graph(5), complete_graph(3)
-    h = find_homomorphism(c5, k3, constraints={0: 2, 1: 0})
+    h = find_homomorphism(c5, k3, pin_masks(c5, k3, {0: 2, 1: 0}))
     assert h is not None and h[0] == 2 and h[1] == 0
+    # a mask of several candidates keeps its vertex inside it
+    h = find_homomorphism(c5, k3, [0b011, 0b110, 0b111, 0b111, 0b111])
+    assert h is not None and h[0] in (0, 1) and h[1] in (1, 2)
 
 
 def test_homomorphism_contradictory_constraints():
+    # a contradictory pin is refuted by the first arc-consistency pass: an
+    # ordinary None, like any other partial map without an extension
     p4 = path_graph(4)
+    assert find_homomorphism(p4, p4, pin_masks(p4, p4, {0: 0, 1: 3})) is None
+
+
+def test_homomorphism_masks_must_fit_the_graphs():
+    p4, k3 = path_graph(4), complete_graph(3)
+    for bad in ([0b111] * 3, [0b111] * 5, [0b1000] + [0b111] * 3, [-1] + [0b111] * 3):
+        with pytest.raises(ValueError, match="one candidate mask"):
+            find_homomorphism(p4, k3, bad)
     with pytest.raises(ValueError):
-        find_homomorphism(p4, p4, constraints={0: 0, 1: 3})
-    with pytest.raises(ValueError):
-        find_homomorphism(p4, p4, constraints={0: 9})
+        find_homomorphism(empty_graph(0), k3, [0b1])
+    # an empty mask is no error: that vertex has nowhere to go
+    assert find_homomorphism(p4, k3, [0b111, 0, 0b111, 0b111]) is None
+    assert find_homomorphism(empty_graph(1), empty_graph(0)) is None
 
 
 def test_homomorphism_budget_exhaustion():
@@ -391,6 +405,14 @@ def random_graph(rng, n):
     return build_graph(n, edges)
 
 
+def pin_masks(g1, g2, constraints):
+    """The candidate masks of ``find_homomorphism`` for a dictionary of pins."""
+    domains = [(1 << g2.n) - 1] * g1.n
+    for v, u in constraints.items():
+        domains[v] = 1 << u
+    return domains
+
+
 def random_constraints(rng, g1, g2):
     """A random partial map that sends no edge of g1 to a non-edge of g2."""
     fixed = {}
@@ -402,17 +424,21 @@ def random_constraints(rng, g1, g2):
 
 
 def assert_same_search(g1, g2, constraints=None):
+    """The kernel, given the pins as masks, and the reference, given them as
+    a dictionary, visit the same nodes and return the same map."""
+    constraints = constraints or {}
+    domains = pin_masks(g1, g2, constraints)
     new, old = SearchBudget(), SearchBudget()
-    got = find_homomorphism(g1, g2, constraints, budget=new)
+    got = find_homomorphism(g1, g2, domains, budget=new)
     want = reference_find_homomorphism(g1, g2, constraints, budget=old)
     assert got == want
     assert new.nodes == old.nodes
     # both stop at the same node when the budget is one node short
-    for kernel in (find_homomorphism, reference_find_homomorphism):
+    for kernel, given in ((find_homomorphism, domains), (reference_find_homomorphism, constraints)):
         if old.nodes:
             with pytest.raises(BudgetExhausted):
-                kernel(g1, g2, constraints, budget=SearchBudget(old.nodes - 1))
-        res = kernel(g1, g2, constraints, budget=SearchBudget(old.nodes))
+                kernel(g1, g2, given, budget=SearchBudget(old.nodes - 1))
+        res = kernel(g1, g2, given, budget=SearchBudget(old.nodes))
         assert res == want
 
 
@@ -433,6 +459,28 @@ def test_homomorphism_search_matches_reference_on_prisms_minus_a_vertex():
         target = prism.induced([v for v in range(prism.n) if v != drop])
         assert_same_search(prism, target)
         assert_same_search(prism, target, random_constraints(rng, prism, target))
+
+
+def test_clearing_a_vertex_from_every_mask_searches_like_the_induced_target():
+    # the core descent's search: prism -> prism with ``drop`` cleared from
+    # every mask walks the tree of prism -> prism - drop, through the
+    # order-preserving map from the induced target's labels to the prism's
+    rng = random.Random(505)
+    for _ in range(40):
+        prism = complementary_prism(random_graph(rng, rng.randint(2, 5)))
+        drop = rng.randrange(prism.n)
+        keep = [v for v in range(prism.n) if v != drop]
+        target = prism.induced(keep)
+        pins = random_constraints(rng, prism, target)
+        for given in ({}, pins):
+            cleared, induced = SearchBudget(), SearchBudget()
+            domains = [((1 << prism.n) - 1) & ~(1 << drop)] * prism.n
+            for v, u in given.items():
+                domains[v] = 1 << keep[u]
+            got = find_homomorphism(prism, prism, domains, budget=cleared)
+            want = find_homomorphism(prism, target, pin_masks(prism, target, given), budget=induced)
+            assert cleared.nodes == induced.nodes
+            assert got == (None if want is None else tuple(keep[x] for x in want))
 
 
 def reference_assign(adj1, adj2, cand, assigned, v, u):
@@ -703,7 +751,7 @@ def reference_compute_core(g, budget=None, seed_endomorphisms=()):
 def random_endomorphism(rng, g):
     """An endomorphism of g extending a random partial map, or None when
     that partial map has no extension."""
-    return find_homomorphism(g, g, random_constraints(rng, g, g))
+    return find_homomorphism(g, g, pin_masks(g, g, random_constraints(rng, g, g)))
 
 
 def assert_same_core(g, seeds=()):
@@ -897,25 +945,25 @@ def test_kneser_9_2_order():
 
 def test_regular_subgroup_search():
     # C6 is a Cayley graph (circulant): a regular subgroup exists
-    found = has_regular_subgroup(automorphism_group(cycle_graph(6)), 6)
+    found = has_regular_subgroup(automorphism_group(cycle_graph(6)))
     assert found is not None and len(found) == 6
     assert found == sorted(found)
     images = {p[0] for p in found}
     assert images == set(range(6))
     # the Petersen graph is vertex-transitive but not Cayley
-    assert has_regular_subgroup(automorphism_group(petersen_graph()), 10) is None
+    assert has_regular_subgroup(automorphism_group(petersen_graph())) is None
 
 
 def test_regular_subgroup_of_the_null_graph_is_a_precondition_error():
     with pytest.raises(ValueError, match="no points"):
-        has_regular_subgroup(automorphism_group(empty_graph(0)), 0)
+        has_regular_subgroup(automorphism_group(empty_graph(0)))
 
 
 def test_prisms_of_pentagon_and_path_are_not_cayley():
     for base in (cycle_graph(5), path_graph(4)):
         prism = complementary_prism(base)
         grp = automorphism_group(prism)
-        assert has_regular_subgroup(grp, prism.n) is None
+        assert has_regular_subgroup(grp) is None
 
 
 # -- wreath-style maps on lexicographic products -------------------------------

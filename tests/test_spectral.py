@@ -17,7 +17,6 @@ from prismatic.graphs import (
 from prismatic.spectral import (
     adjacency_matrix,
     SrgParams,
-    eigenvalue_bound_checks,
     numeric_spectrum,
     prism_spectrum_closed_form,
     srg_analysis,
@@ -25,6 +24,7 @@ from prismatic.spectral import (
     theta_bounds,
     thm_strg_inequality_check,
 )
+from prismatic.structural import eigenvalue_bound_checks
 
 GOLDEN = math.sqrt(5)
 
