@@ -257,8 +257,8 @@ def cmd_classify(args) -> dict:
         "prism_is_cayley": preds.is_cayley,
         "prism_diameter": preds.diameter,
     }
-    not_lex = not_lex_product_check(complementary_prism(g))
-    if not_lex is not None:  # None past the check's exhaustive cut-off
+    not_lex = not_lex_product_check(structure.prism)
+    if not_lex is not None:  # None past the check's 16-vertex cut-off
         report["prism_not_lex_product"] = not_lex
     return report
 
@@ -516,10 +516,10 @@ def cmd_sweep(args) -> dict:
     t0 = time.perf_counter()
     for n in range(1, args.max_n + 1):
         for g in _all_graphs(n):
-            prism = complementary_prism(g)
-            structured_prism_aut(g).check(automorphism_group(prism))
+            structure = structured_prism_aut(g)
+            structure.check(automorphism_group(structure.prism))
             closed = cheeger_closed_form(g)
-            brute_h = cheeger_brute_force(prism)
+            brute_h = cheeger_brute_force(structure.prism)
             if closed.value != brute_h.value:
                 raise AssertionError(f"Cheeger mismatch on {g.adj}")
             checked += 1

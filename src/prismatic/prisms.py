@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from .families import FamilySpec, family_graph
 from .graphs import Graph, bits, complementary_prism, prism_index
@@ -208,13 +207,14 @@ def ratio_class(
 class PrismStructure:
     """Aut(prism of ``graph``) as the structure theorems describe it.
 
-    ``matches`` are the family matches of the graph, ``base_group`` is
-    Aut(graph), ``antimorphism`` one antimorphism of the graph or None,
-    ``group`` the assembled Aut(prism) and ``ratio`` the theorem's
-    |Aut(prism)| / |Aut(graph)|.
+    ``prism`` is the prism its generators were verified against, ``matches``
+    the family matches of the graph, ``base_group`` Aut(graph),
+    ``antimorphism`` one antimorphism of the graph or None, ``group`` the
+    assembled Aut(prism) and ``ratio`` the theorem's |Aut(prism)| / |Aut(graph)|.
     """
 
     graph: Graph
+    prism: Graph
     matches: tuple[FamilyMatch, ...]
     base_group: GroupDescription
     antimorphism: tuple[int, ...] | None
@@ -272,7 +272,7 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
         if not is_isomorphism_map(prism, prism, p):
             raise AssertionError("structured generator failed verification")
     group = group_tools(generators, 2 * n)
-    return PrismStructure(g, matches, base_group, anti, group, ratio)
+    return PrismStructure(g, prism, matches, base_group, anti, group, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +306,7 @@ def prism_predicates(structure: PrismStructure) -> PrismPredicates:
         raise AssertionError(
             "vertex-transitivity characterization disagrees with orbit computation"
         )
-    prism = complementary_prism(g)
-    diameter = prism.diameter()
+    diameter = structure.prism.diameter()
     if g.n == 1:
         if diameter != 1:
             raise AssertionError("prism of K1 must be K2")
@@ -439,63 +438,64 @@ def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
 # ---------------------------------------------------------------------------
 
 
-def _is_module(g: Graph, block_mask: int) -> bool:
-    for w in range(g.n):
-        if block_mask >> w & 1:
-            continue
-        inter = g.adj[w] & block_mask
-        if inter != 0 and inter != block_mask:
-            return False
-    return True
+def _module_closure(g: Graph, mask: int) -> int:
+    """The smallest module of g containing ``mask``: add splitters (outside
+    vertices adjacent to some but not all of the mask) until none is left."""
+    while True:
+        some, every = 0, -1
+        for u in bits(mask):
+            some, every = some | g.adj[u], every & g.adj[u]
+        split = some & ~every & ~mask
+        if not split:
+            return mask
+        mask |= split
 
 
 def _is_lex_product(g: Graph, n1: int, n2: int) -> bool:
     """Does g factor as some product h1[h2] with |h1|=n1, |h2|=n2?
 
-    Equivalent to: V(g) partitions into n1 modules of size n2 whose induced
-    subgraphs are pairwise isomorphic.  (Fibers of a lexicographic product
-    are such modules; conversely such a partition assembles into a product,
-    with the quotient as outer factor.)
+    Equivalently, V(g) splits into n1 modules of size n2 with pairwise
+    isomorphic induced subgraphs (the fibres; the quotient is h1).  The
+    block of the least free vertex v grows from {v}: add a free vertex and
+    take the module closure, which stays inside every module holding the
+    set, so exactly the modules through v are reached; a prime graph costs
+    one closure per pair.  A closure that meets a placed block contains it
+    (else their difference is a smaller module), so it exceeds n2.
     """
-    first_block: list[Graph] = []
-
-    def rec(unassigned: int) -> bool:
-        if unassigned == 0:
-            return True
-        v = (unassigned & -unassigned).bit_length() - 1
-        rest = [w for w in bits(unassigned) if w != v]
-        for others in combinations(rest, n2 - 1):
-            block = (1 << v) | sum(1 << w for w in others)
-            if not _is_module(g, block):
-                continue
-            induced = g.induced(sorted(bits(block)))
-            if first_block:
-                if not find_isomorphisms(first_block[0], induced, limit=1):
+    def blocks(unassigned: int):
+        seen: set[int] = set()
+        stack = [unassigned & -unassigned]
+        while stack:
+            grown = stack.pop()
+            for w in bits(unassigned & ~grown):
+                block = _module_closure(g, grown | 1 << w)
+                if block in seen or block.bit_count() > n2:
                     continue
-            else:
-                first_block.append(induced)
-            if rec(unassigned & ~block):
-                return True
-            if len(first_block) == 1 and unassigned == (1 << g.n) - 1:
-                first_block.clear()
+                seen.add(block)
+                if block.bit_count() == n2:
+                    yield block
+                else:
+                    stack.append(block)
+
+    def rec(unassigned: int, first: Graph | None) -> bool:
+        if not unassigned:
+            return True
+        for block in blocks(unassigned):
+            induced = g.induced(bits(block))
+            if first is None or find_isomorphisms(first, induced, limit=1):
+                if rec(unassigned & ~block, first or induced):
+                    return True
         return False
 
-    return rec((1 << g.n) - 1)
+    return rec((1 << g.n) - 1, None)
 
 
 def not_lex_product_check(prism: Graph) -> bool | None:
     """True iff the graph is not a lexicographic product of two graphs on
-    at least two vertices each; None when the order exceeds the exhaustive
-    budget (16 vertices)."""
+    at least two vertices each, by ``_is_lex_product`` on every divisor
+    split; None above 16 vertices, a cut-off of the output, not the cost."""
     N = prism.n
     if N > 16:
         return None
-    for n1 in range(2, N):
-        if N % n1:
-            continue
-        n2 = N // n1
-        if n2 < 2:
-            continue
-        if _is_lex_product(prism, n1, n2):
-            return False
-    return True
+    splits = (n1 for n1 in range(2, N // 2 + 1) if N % n1 == 0)
+    return not any(_is_lex_product(prism, n1, N // n1) for n1 in splits)

@@ -190,9 +190,24 @@ def test_classify_pentagon(capsys):
 
 
 def test_classify_reports_the_lex_check_only_within_its_cut_off(capsys):
-    # the check is exhaustive up to 16 prism vertices, bases of 8
+    # the check answers up to 16 prism vertices, bases of 8
     assert run_json(capsys, ["classify", "--name", "cycle:8"])["prism_not_lex_product"] is True
     assert "prism_not_lex_product" not in run_json(capsys, ["classify", "--name", "cycle:9"])
+
+
+def test_classify_builds_the_prism_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return complementary_prism(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prismatic"):
+            if getattr(module, "complementary_prism", None) is complementary_prism:
+                monkeypatch.setattr(module, "complementary_prism", counted)
+    run_json(capsys, ["classify", "--name", "cycle:9"])
+    assert calls == [9]
 
 
 def test_cheeger_star_example(capsys):

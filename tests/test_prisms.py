@@ -539,3 +539,88 @@ def test_prisms_of_small_graphs_are_never_lex_products():
     for n in range(1, 5):
         for g in all_graphs(n):
             assert not_lex_product_check(complementary_prism(g)) is True
+
+
+def reference_is_lex_product(g, n1, n2):
+    """The exhaustive search the module closure replaced: every (n2-1)-subset
+    beside the least free vertex, kept if no outside vertex splits it."""
+
+    def is_module(block):
+        return all(g.adj[w] & block in (0, block) for w in range(g.n) if not block >> w & 1)
+
+    def rec(unassigned, first):
+        if not unassigned:
+            return True
+        v = (unassigned & -unassigned).bit_length() - 1
+        rest = [w for w in range(g.n) if unassigned >> w & 1 and w != v]
+        for others in itertools.combinations(rest, n2 - 1):
+            block = 1 << v | sum(1 << w for w in others)
+            if not is_module(block):
+                continue
+            induced = g.induced([v, *others])
+            if first is None or find_isomorphisms(first, induced, limit=1):
+                if rec(unassigned & ~block, first or induced):
+                    return True
+        return False
+
+    return rec((1 << g.n) - 1, None)
+
+
+def divisor_splits(N):
+    return [(n1, N // n1) for n1 in range(2, N // 2 + 1) if N % n1 == 0]
+
+
+def random_graph(rng, n, p=0.5):
+    return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_module_closure_search_agrees_with_the_exhaustive_reference():
+    rng = random.Random(2201)
+    graphs = [complementary_prism(random_graph(rng, rng.randint(1, 8))) for _ in range(120)]
+    for _ in range(120):
+        outer = random_graph(rng, rng.randint(2, 5), rng.random())
+        inner = random_graph(rng, rng.randint(2, 16 // outer.n), rng.random())
+        product = lexicographic_product(outer, inner)
+        perm = list(range(product.n))
+        rng.shuffle(perm)
+        graphs.append(product.relabel(perm))
+    graphs += [random_graph(rng, rng.randint(2, 12), rng.random()) for _ in range(120)]
+    answers = []
+    for g in graphs:
+        for n1, n2 in divisor_splits(g.n):
+            answer = prisms._is_lex_product(g, n1, n2)
+            assert answer == reference_is_lex_product(g, n1, n2), (g.adj, n1, n2)
+            answers.append(answer)
+    assert True in answers and False in answers
+
+
+def test_prime_prisms_cost_one_closure_per_pair_and_no_block_test(monkeypatch):
+    closure, is_lex = prisms._module_closure, prisms._is_lex_product
+    closures, costs, iso_calls = [0], [], []
+
+    def counted_closure(g, mask):
+        closures[0] += 1
+        return closure(g, mask)
+
+    def counted_is_lex(g, n1, n2):
+        closures[0] = 0
+        answer = is_lex(g, n1, n2)
+        costs.append((g.n, closures[0]))
+        return answer
+
+    monkeypatch.setattr(prisms, "_module_closure", counted_closure)
+    monkeypatch.setattr(prisms, "_is_lex_product", counted_is_lex)
+    monkeypatch.setattr(prisms, "find_isomorphisms", lambda *a, **k: iso_calls.append(a))
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            assert not_lex_product_check(complementary_prism(g)) is True
+    assert costs and all(cost <= N - 1 for N, cost in costs)
+    assert iso_calls == []
+
+
+def test_module_closure_search_decides_large_graphs():
+    prism = complementary_prism(paley_graph(29))
+    assert not any(prisms._is_lex_product(prism, n1, n2) for n1, n2 in divisor_splits(58))
+    product = lexicographic_product(paley_graph(9), cycle_graph(5))
+    found = [split for split in divisor_splits(45) if prisms._is_lex_product(product, *split)]
+    assert found == [(9, 5)]
