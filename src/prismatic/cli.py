@@ -174,7 +174,7 @@ def cmd_aut(args) -> dict:
     }
     base = detect_prism_layout(g)
     if base is not None:
-        structure = structured_prism_aut(base)
+        structure = structured_prism_aut(base, prism=g)
         structure.check(group)
         report["prism_of"] = {
             "n": base.n,
@@ -224,7 +224,7 @@ def cmd_core(args) -> dict:
         "is_core_itself": rep.is_core_itself,
     }
     if base is not None and rep.status == "ok" and base.n != 2:
-        case = classify_core_case(base, rep)
+        case = classify_core_case(base, rep, prism=g)
         report["case"] = case.case
         if case.V1 or case.V2 or case.V3:
             report["partition"] = {"V1": case.V1, "V2": case.V2, "V3": case.V3}
@@ -266,7 +266,11 @@ def cmd_classify(args) -> dict:
 def cmd_cheeger(args) -> dict:
     g = load_graph(args)
     with precondition():  # brute force is limited to CHEEGER_BRUTE_MAX_N vertices
-        rep = cheeger_closed_form(g) if args.prism else cheeger_brute_force(g)
+        if args.prism:
+            prism = complementary_prism(g)
+            rep = cheeger_closed_form(g, prism=prism)
+        else:
+            rep = cheeger_brute_force(g)
         report = {
             "command": "cheeger",
             "value": rep.value,
@@ -278,7 +282,7 @@ def cmd_cheeger(args) -> dict:
             report["of"] = "complementary prism"
             report["base_n"] = g.n
             if args.brute or 2 * g.n <= 16:
-                brute = cheeger_brute_force(complementary_prism(g))
+                brute = cheeger_brute_force(prism)
                 report["brute_force_value"] = brute.value
                 if brute.value != rep.value:
                     raise AssertionError("closed form disagrees with brute force")
@@ -367,7 +371,7 @@ def cmd_hamilton(args) -> dict:
         elif args.mode == "connected":
             got = hamiltonian(g, "connected", budget=budget)
             report["hamiltonian_connected"] = got is not None
-            if got:
+            if got is not None:  # {} on a graph with at most one vertex
                 report["pairs"] = len(got)
         else:
             report["witness"] = hamiltonian(g, args.mode, budget=budget)
@@ -406,7 +410,7 @@ def _verify_exa1() -> dict:
     if not verify_retraction(prism, psi, image):
         raise AssertionError("published exa1 retraction failed verification")
     rep = compute_core(prism, seed_endomorphisms=[psi])
-    case = classify_core_case(g, rep)
+    case = classify_core_case(g, rep, prism=prism)
     core_graph = prism.induced(sorted(rep.core_vertices))
     is_k5 = bool(find_isomorphisms(core_graph, complete_graph(5), limit=1))
     return {
@@ -518,7 +522,7 @@ def cmd_sweep(args) -> dict:
         for g in _all_graphs(n):
             structure = structured_prism_aut(g)
             structure.check(automorphism_group(structure.prism))
-            closed = cheeger_closed_form(g)
+            closed = cheeger_closed_form(g, prism=structure.prism)
             brute_h = cheeger_brute_force(structure.prism)
             if closed.value != brute_h.value:
                 raise AssertionError(f"Cheeger mismatch on {g.adj}")

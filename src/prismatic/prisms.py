@@ -240,7 +240,7 @@ class PrismStructure:
                     raise AssertionError("automorphism dichotomy failed" + where)
 
 
-def structured_prism_aut(g: Graph) -> PrismStructure:
+def structured_prism_aut(g: Graph, *, prism: Graph | None = None) -> PrismStructure:
     """Assemble Aut(prism of g) from the structure theorems, not brute force.
 
     One pass: detect the families, compute Aut(g) and search for one
@@ -254,9 +254,13 @@ def structured_prism_aut(g: Graph) -> PrismStructure:
     all of S5.  Every generator is verified as a prism automorphism, so
     the assembled group lies inside Aut(prism) and a wrong assembly shows
     as a smaller order.
+
+    ``prism`` is the complementary prism of g when the caller has built it
+    already; otherwise it is built here.
     """
     n = g.n
-    prism = complementary_prism(g)
+    if prism is None:
+        prism = complementary_prism(g)
     matches = tuple(detect_family(g))
     base_group = automorphism_group(g)
     anti = next(iter(find_antimorphisms(g, limit=1)), None)
@@ -350,20 +354,22 @@ class CoreCase:
     V3: tuple[int, ...] = ()
 
 
-def classify_core_case(g: Graph, report: CoreReport) -> CoreCase:
+def classify_core_case(g: Graph, report: CoreReport, *, prism: Graph | None = None) -> CoreCase:
     """Classify a computed core of the prism of g into one of five shapes.
 
     The classifier never re-derives the classification theorem; it checks
     the reported core vertices against the case schemas and raises
     CoreCaseViolation on any mismatch, acting as a falsification harness.
-    Only cores with status "ok" are accepted.
+    Only cores with status "ok" are accepted.  ``prism`` is the prism the
+    core was computed on, when the caller has it; otherwise it is built here.
     """
     n = g.n
     if n == 2:
         raise ValueError("two-vertex base graphs are excluded from the classification")
     if report.status != "ok":
         raise ValueError("cannot classify an incomplete core computation")
-    prism = complementary_prism(g)
+    if prism is None:
+        prism = complementary_prism(g)
     if not verify_retraction(prism, report.retraction, report.core_vertices):
         raise ValueError("report does not carry a retraction of the prism onto its core")
     core = set(report.core_vertices)

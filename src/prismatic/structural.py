@@ -3,7 +3,8 @@
 Cheeger numbers of complementary prisms have a two-value closed form; an
 exhaustive scan of every partition, tabulated in numpy with exact integer
 arithmetic, provides the independent oracle.  Hamiltonian witnesses come
-either from direct backtracking search or from explicit constructions that splice Hamiltonian cycles/paths of the
+from backtracking search, from Pósa rotations of the paths it finds, or
+from explicit constructions that splice Hamiltonian cycles/paths of the
 base graph and its complement into prism witnesses; every witness is
 re-verified edge by edge.
 """
@@ -296,17 +297,19 @@ def _report_for(g: Graph, s_mask: int, method: str) -> CheegerReport:
     return CheegerReport(value=value, witness=(s, t), method=method)
 
 
-def cheeger_closed_form(g: Graph) -> CheegerReport:
+def cheeger_closed_form(g: Graph, *, prism: Graph | None = None) -> CheegerReport:
     """Cheeger number of the complementary prism of g.
 
     The value is 1 unless g or its complement contains an edge {u, v} with
     deg(u) = 1 and deg(v) = n - 1, in which case it is (n-1)/n with the
     cut S = {(u,1)} union {(w,2) : w != v} (sides swapped for the
     complement case).  The witness ratio is re-verified on the actual
-    prism before returning.
+    prism before returning: ``prism`` when the caller has built it already,
+    otherwise one built here.
     """
     n = g.n
-    prism = complementary_prism(g)
+    if prism is None:
+        prism = complementary_prism(g)
 
     def qualifying_edge(h: Graph):
         degs = h.degrees()
@@ -471,6 +474,33 @@ def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget):
     return list(path) if rec(start, 1 << start) else None
 
 
+def _close_under_rotations(g: Graph, path: list[int], store: dict) -> None:
+    """Store ``path``, which runs from its lesser end, and every Hamiltonian
+    path its Pósa rotations reach.
+
+    If p0..pk is a Hamiltonian path and pk ~ pi with i < k - 1, then
+    p0..pi, pk, pk-1..pi+1 is one from p0 to p(i+1); reversing the path
+    rotates its other end.  ``store`` keeps one path per unordered pair of
+    ends, running from the lesser end, and each stored path is expanded
+    once, so the closure is bounded by C(n, 2) paths.  Every derived path is
+    verified edge by edge before it is stored.
+    """
+    store[(path[0], path[-1])] = path
+    todo = [path]
+    while todo:
+        p = todo.pop()
+        for q in (p, p[::-1]):
+            first, around = q[0], g.adj[q[-1]]
+            for i in range(len(q) - 2):
+                if around >> q[i] & 1:
+                    end = q[i + 1]
+                    key = (first, end) if first < end else (end, first)
+                    if key not in store:
+                        r = q[: i + 1] + q[:i:-1]
+                        store[key] = _check_ham_path(g, r if first < end else r[::-1], ends=key)
+                        todo.append(store[key])
+
+
 def hamiltonian(
     g: Graph,
     mode: str,
@@ -481,6 +511,12 @@ def hamiltonian(
     """Hamiltonian search: mode is "path", "cycle", "path_between" (with
     endpoints u, v; ValueError unless they are two distinct vertices of g)
     or "connected" (every pair, returns a dict of verified paths or None).
+
+    "connected" walks the pairs a < b in order and searches by pruned DFS
+    only a pair that no path found so far covers; each path the DFS finds is
+    closed under Pósa rotations at both ends (``_close_under_rotations``),
+    which spend no budget and usually cover most other pairs.  Only the DFS
+    proves nonexistence, so the verdict is that of one search per pair.
 
     Witnesses are verified edge-by-edge before being returned; None means
     the exhaustive search proved nonexistence (a BudgetExhausted escape
@@ -512,13 +548,15 @@ def hamiltonian(
         got = _ham_path_from(g, u, v, budget)
         return _check_ham_path(g, got, ends=(u, v)) if got else None
     if mode == "connected":
-        out = {}
+        out: dict[tuple[int, int], list[int]] = {}
         for a in range(n):
             for b in range(a + 1, n):
-                got = hamiltonian(g, "path_between", a, b, budget)
+                if (a, b) in out:
+                    continue
+                got = _ham_path_from(g, a, b, budget)
                 if got is None:
                     return None
-                out[(a, b)] = got
+                _close_under_rotations(g, _check_ham_path(g, got, ends=(a, b)), out)
         return out
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -195,7 +195,8 @@ def test_classify_reports_the_lex_check_only_within_its_cut_off(capsys):
     assert "prism_not_lex_product" not in run_json(capsys, ["classify", "--name", "cycle:9"])
 
 
-def test_classify_builds_the_prism_once(capsys, monkeypatch):
+def count_prism_builds(capsys, monkeypatch, argv) -> tuple[list[int], dict]:
+    """The base sizes of the prisms built while ``argv`` runs, and its report."""
     calls = []
 
     def counted(g):
@@ -206,8 +207,29 @@ def test_classify_builds_the_prism_once(capsys, monkeypatch):
         if name.startswith("prismatic"):
             if getattr(module, "complementary_prism", None) is complementary_prism:
                 monkeypatch.setattr(module, "complementary_prism", counted)
-    run_json(capsys, ["classify", "--name", "cycle:9"])
+    return calls, run_json(capsys, argv)
+
+
+def test_classify_builds_the_prism_once(capsys, monkeypatch):
+    calls, _ = count_prism_builds(capsys, monkeypatch, ["classify", "--name", "cycle:9"])
     assert calls == [9]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["aut", "--g6", write_graph6(complementary_prism(cycle_graph(7)))], "prism_of"),
+        (["core", "--prism", "--name", "cycle:7"], "case"),
+        (["cheeger", "--prism", "--name", "cycle:7"], "brute_force_value"),
+        (["cheeger", "--prism", "--brute", "--name", "cycle:7"], "brute_force_value"),
+    ],
+    ids=["aut", "core-prism", "cheeger-prism", "cheeger-prism-brute"],
+)
+def test_prism_commands_build_the_prism_once(capsys, monkeypatch, argv, key):
+    # each command reaches the step that reads the prism a second time
+    calls, report = count_prism_builds(capsys, monkeypatch, argv)
+    assert key in report
+    assert calls == [7]
 
 
 def test_cheeger_star_example(capsys):
@@ -318,13 +340,20 @@ def test_hamilton_budget_unknown(capsys):
 
 
 def test_hamilton_constructions_share_one_budget(capsys):
-    # 500 nodes cover any one of the four searches behind --constructions
-    # on Paley(9) (497 at most), but not all four together (913)
+    # 40 nodes cover any one of the four searches behind --constructions
+    # on Paley(9) (16 at most), but not all four together (54)
     report = run_json(
         capsys,
-        ["hamilton", "--name", "paley:9", "--constructions", "--budget-nodes", "500"],
+        ["hamilton", "--name", "paley:9", "--constructions", "--budget-nodes", "40"],
     )
     assert report["status"] == "unknown"
+
+
+@pytest.mark.parametrize("graph", [["--name", "complete:1"], ["--g6", "?"]], ids=["K1", "null"])
+def test_hamilton_connected_reports_pairs_on_tiny_graphs(capsys, graph):
+    report = run_json(capsys, ["hamilton", "--mode", "connected", *graph])
+    assert report["hamiltonian_connected"] is True
+    assert report["pairs"] == 0
 
 
 def test_invariants_command(capsys):

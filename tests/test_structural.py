@@ -578,6 +578,62 @@ def test_hamiltonian_connected_mode():
     assert hamiltonian(cycle_graph(4), "connected") is None
 
 
+def reference_connected(g):
+    """One pruned DFS per pair a < b: the connected mode before rotations."""
+    out = {}
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            got = hamiltonian(g, "path_between", a, b)
+            if got is None:
+                return None
+            out[(a, b)] = got
+    return out
+
+
+def connected_mode_inputs():
+    rng = random.Random(2301)
+    graphs = []
+    for n in range(3, 12):
+        for p in (0.3, 0.5, 0.7, 0.9):
+            for _ in range(2):
+                g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+                graphs += [g, g.complement()]
+    graphs += [paley_graph(9), paley_graph(13)] + [cycle_graph(n) for n in range(5, 10)]
+    return graphs + [figure_f9(i) for i in range(1, 5)]
+
+
+def test_rotations_cover_the_same_pairs_as_one_search_per_pair():
+    graphs = connected_mode_inputs()
+    connected = 0
+    for g in graphs:
+        got, want = hamiltonian(g, "connected"), reference_connected(g)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        connected += 1
+        assert got.keys() == want.keys()
+        for (a, b), path in got.items():
+            assert path[0] == a and path[-1] == b and sorted(path) == list(range(g.n))
+            assert all(g.has_edge(x, y) for x, y in zip(path, path[1:]))
+    assert 0 < connected < len(graphs)  # both verdicts occur
+
+
+def test_rotations_spare_the_searches_on_paley13():
+    # one DFS and its rotations cover all 78 pairs; one DFS per pair costs 1,281
+    budget = SearchBudget()
+    assert len(hamiltonian(paley_graph(13), "connected", budget=budget)) == 78
+    assert budget.nodes < 100
+
+
+def test_prism_of_paley13_is_hamiltonian_connected():
+    # the paper's claim for n > 5, decided on the 26-vertex prism itself
+    prism = complementary_prism(paley_graph(13))
+    conn = hamiltonian(prism, "connected", budget=SearchBudget(100_000))
+    assert len(conn) == 26 * 25 // 2
+    for (a, b), path in conn.items():
+        _check_ham_path(prism, path, ends=(a, b))
+
+
 def test_ham_path_check_rejects_each_kind_of_bad_witness():
     c5 = cycle_graph(5)
     assert _check_ham_path(c5, [0, 1, 2, 3, 4], ends=(0, 4), closed=True) == [0, 1, 2, 3, 4]
