@@ -5,10 +5,12 @@ This module provides
 * exhaustive isomorphism/antimorphism search (most-constrained-vertex-first
   backtracking over candidate bitmasks with forward checking),
 * homomorphism search (pin, then revise arcs to arc consistency; optional
-  per-vertex candidate masks, optional node budget),
+  per-vertex candidate masks, optional node budget, optional automorphisms
+  of the target under which the search tries one image per orbit),
 * core computation by retraction descent: repeatedly find a proper
   endomorphism (one search per automorphism orbit of the retract, after a
-  clique-number bound), convert it into a retraction, restrict, repeat,
+  clique-number bound, each trying one image per orbit of the stabiliser
+  of the dropped vertex), convert it into a retraction, restrict, repeat,
 * permutation groups as generators plus a Schreier-Sims stabilizer chain
   (order, orbits, membership), automorphism group generators by
   orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
@@ -267,6 +269,7 @@ def find_homomorphism(
     g2: Graph,
     domains: Sequence[int] | None = None,
     budget: SearchBudget | None = None,
+    symmetry: Sequence[Sequence[int]] = (),
 ) -> tuple[int, ...] | None:
     """Find a homomorphism g1 -> g2 sending each vertex v of g1 into the
     candidate bitmask ``domains[v]`` over V(g2), or prove none.
@@ -277,6 +280,18 @@ def find_homomorphism(
     homomorphism is the empty tuple, so test ``is None``.  Raises
     BudgetExhausted if a node budget is given and runs out, and ValueError
     for masks that do not fit the two graphs.
+
+    ``symmetry`` holds automorphisms of g2 (image sequences) that map every
+    domain onto itself.  At a node whose assigned vertices have images
+    u1..uk, the branch vertex tries only the least candidate of each orbit
+    of the group generated by the members that fix u1..uk.  That group
+    fixes the given domains and the pins, and the pass to arc consistency
+    commutes with it, so it fixes the node's domains: a skipped
+    candidate's subtree is the image of an earlier sibling's, which has
+    already failed.  The first leaf, and so the map returned, is the one
+    found without ``symmetry``; only failing subtrees shrink.  Raises
+    ValueError for a member that is not an automorphism of g2 or that moves
+    a domain.
     """
     budget = budget or SearchBudget()
     n1, n2 = g1.n, g2.n
@@ -284,6 +299,12 @@ def find_homomorphism(
     cand = [full2] * n1 if domains is None else list(domains)
     if len(cand) != n1 or any(m & ~full2 for m in cand):
         raise ValueError("domains need one candidate mask over g2 per vertex of g1")
+    sym = [tuple(p) for p in symmetry]
+    for p in sym:
+        if not is_isomorphism_map(g2, g2, p):
+            raise ValueError("symmetry member is not an automorphism of g2")
+        if any(sum(1 << p[x] for x in bits(m)) != m for m in set(cand)):
+            raise ValueError("symmetry member moves a domain")
     if n1 == 0:
         return ()
     if not all(cand):
@@ -328,24 +349,32 @@ def find_homomorphism(
     if not propagate(cand, 0, full1):
         return None
 
-    def rec(cand: list[int], assigned: int) -> list[int] | None:
+    def rec(cand: list[int], assigned: int, sym: list[tuple[int, ...]]) -> list[int] | None:
         """The domains of the first leaf below this node, all pinned, or
-        None when the subtree has no leaf."""
+        None when the subtree has no leaf.  ``sym`` holds the symmetry
+        members that fix every image pinned so far."""
         budget.spend()
         if assigned == full1:
             return cand
         v = _branch_vertex(cand, assigned)[0]
         assigned |= 1 << v
-        for u in bits(cand[v]):
+        rest = cand[v]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
             nxt = list(cand)
-            nxt[v] = 1 << u
+            nxt[v] = low
             if propagate(nxt, assigned, 1 << v):
-                leaf = rec(nxt, assigned)
+                leaf = rec(nxt, assigned, [p for p in sym if p[u] == u])
                 if leaf is not None:
                     return leaf
+            rest ^= low
+            if sym and rest:  # the rest of u's orbit fails as u did
+                for x in _orbit(sym, u):
+                    rest &= ~(1 << x)
         return None
 
-    leaf = rec(cand, 0)
+    leaf = rec(cand, 0, sym)
     if leaf is None:
         return None
     result = _singletons(leaf)
@@ -482,6 +511,15 @@ def compute_core(
     earlier orbit fails in full, so the first vertex that succeeds is the
     one a scan of every vertex would pick, and the report is the same.
 
+    Within a search, the automorphisms of the retract that fix the dropped
+    vertex v map every candidate mask onto itself, so they go to
+    ``find_homomorphism`` as ``symmetry``: a generating set of Stab(v), the
+    Schreier generators of the orbit of v reduced by a Sims filter, built
+    once per orbit representative.  The search then tries one image per
+    orbit of the members that fix the images pinned so far.  It returns
+    the map it would return without them, so the report is the same; only
+    failing subtrees shrink.
+
     ``seed_endomorphisms`` may hold known endomorphisms of g (image
     arrays); they are folded in first, which can shrink the graph before
     any searching happens.  If a given node budget runs out the report has
@@ -510,13 +548,19 @@ def compute_core(
             m = sub.n
             full = (1 << m) - 1
             omega = len(max_clique(sub)) if m <= 60 else None
+            gens = automorphism_generators(sub)[0]
             # orbits_of lists each orbit sorted, in ascending order of its least vertex
-            orbits = orbits_of(automorphism_generators(sub)[0], m)
-            for pos in (orbit[0] for orbit in orbits):
+            for pos in (orbit[0] for orbit in orbits_of(gens, m)):
                 minus = [i for i in range(m) if i != pos]
                 if omega is not None and len(max_clique(sub.induced(minus))) < omega:
                     continue  # a homomorphism cannot shrink the clique number
-                found = find_homomorphism(sub, sub, [full & ~(1 << pos)] * m, budget=budget)
+                found = find_homomorphism(
+                    sub,
+                    sub,
+                    [full & ~(1 << pos)] * m,
+                    budget=budget,
+                    symmetry=_stabiliser_generators(gens, pos),
+                )
                 if found is None:
                     continue
                 # Lift the local endomorphism of g[current] to one of g by
@@ -692,6 +736,44 @@ def _schreier_sims(gens: list[tuple[int, ...]], n: int):
             build(level)
         i = j
     return tuple(base), tuple(trans)
+
+
+def _stabiliser_generators(gens, point: int) -> list[tuple[int, ...]]:
+    """Generators of the stabiliser of ``point`` in the group <gens>.
+
+    Schreier's lemma: with t_b an element of the group sending ``point`` to
+    b, the elements t_{s(b)}^-1 s t_b over every generator s and every b in
+    the orbit generate the stabiliser.  A Sims filter then keeps at most one
+    element per (first moved point, its image): an element whose pair is
+    taken is divided by the kept one, which fixes one more point, until it
+    finds a free pair or becomes the identity.  The kept elements generate
+    the same group (Seress, Permutation Group Algorithms, 2003, section 4).
+    """
+    if not gens:
+        return []
+    ident = tuple(range(len(gens[0])))
+    transversal = {point: ident}
+    queue = [point]
+    for b in queue:
+        for s in gens:
+            c = s[b]
+            if c not in transversal:
+                transversal[c] = _compose(s, transversal[b])
+                queue.append(c)
+    kept: dict[tuple[int, int], tuple[int, ...]] = {}
+    for b, t in transversal.items():
+        for s in gens:
+            h = _compose(_invert(transversal[s[b]]), _compose(s, t))
+            first = 0
+            while h != ident:
+                while h[first] == first:
+                    first += 1
+                key = (first, h[first])
+                if key not in kept:
+                    kept[key] = h
+                    break
+                h = _compose(_invert(kept[key]), h)
+    return list(kept.values())
 
 
 def group_tools(generators, degree: int) -> GroupDescription:

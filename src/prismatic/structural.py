@@ -71,9 +71,12 @@ def chromatic_number(
     max(omega, ceil(n / alpha)) and the DSATUR coloring's count.  Up to
     CHROMATIC_EXACT_MAX_N vertices, each k in between is decided by
     ``find_homomorphism(g, K_k)`` with single-bit masks pinning a maximum
-    clique to colors 0..omega-1, which removes the symmetry of permuting
-    the colors.  Beyond that the DSATUR coloring is returned, exact only if
-    the bounds meet.
+    clique to colors 0..omega-1.  The pins remove only the permutations of
+    the clique's own colors.  The adjacent transpositions of the unpinned
+    colors omega..k-1 go to the search as ``symmetry``, so a vertex tries
+    one color of each orbit of the transpositions that move no color in
+    use, not every such color.  Beyond that the DSATUR coloring is
+    returned, exact only if the bounds meet.
     The tests check chi against a plain backtracking search, _k_colorable.
 
     ``clique`` and ``indep`` are a maximum clique and a maximum independent
@@ -86,10 +89,13 @@ def chromatic_number(
     coloring = _dsatur_coloring(g)
     ub = max(coloring)
     if lb < ub and n <= CHROMATIC_EXACT_MAX_N:
+        omega = len(clique)
         pins = {v: 1 << i for i, v in enumerate(clique)}
         for k in range(lb, ub):
             domains = [pins.get(v, (1 << k) - 1) for v in range(n)]
-            found = find_homomorphism(g, complete_graph(k), domains)
+            # the swap of colors c and c + 1, for every unpinned c < k - 1
+            swaps = [(*range(c), c + 1, c, *range(c + 2, k)) for c in range(omega, k - 1)]
+            found = find_homomorphism(g, complete_graph(k), domains, symmetry=swaps)
             if found is not None:
                 return k, [c + 1 for c in found], True
     return ub, coloring, lb == ub or n <= CHROMATIC_EXACT_MAX_N

@@ -153,13 +153,15 @@ def test_core_of_pentagon_prism(capsys):
 
 def test_core_of_paley5_prism_needs_one_search(capsys):
     # the prism (the Petersen graph) is vertex-transitive: one failing
-    # search of 22 nodes proves it a core, where one per vertex needs 10 x 22
+    # search proves it a core, where one per vertex needs 10.  It tries one
+    # image per orbit of the stabiliser of the dropped vertex, so it takes
+    # 4 nodes, where trying every image took 22
     argv = ["core", "--prism", "--name", "paley:5", "--budget-nodes"]
-    report = run_json(capsys, argv + ["22"])
+    report = run_json(capsys, argv + ["4"])
     assert report["status"] == "ok"
     assert report["is_core_itself"] is True
     assert report["case"] == "I_core"
-    assert run_json(capsys, argv + ["21"])["status"] == "unknown"
+    assert run_json(capsys, argv + ["3"])["status"] == "unknown"
 
 
 def test_core_of_plain_graph(capsys):

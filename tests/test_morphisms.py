@@ -52,6 +52,7 @@ from prismatic.morphisms import (
     _invert,
     _orbit,
     _order,
+    _stabiliser_generators,
     _stabilized_retraction,
 )
 from prismatic.prisms import special_automorphism, structured_prism_aut
@@ -483,6 +484,79 @@ def test_clearing_a_vertex_from_every_mask_searches_like_the_induced_target():
             assert got == (None if want is None else tuple(keep[x] for x in want))
 
 
+def symmetric_graph(rng):
+    """A random graph with automorphisms to spare: a prism, a lexicographic
+    product or a circulant."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return complementary_prism(random_graph(rng, rng.randint(1, 5)))
+    if kind == 1:
+        return lexicographic_product(
+            random_graph(rng, rng.randint(1, 4)), random_graph(rng, rng.randint(1, 3))
+        )
+    n = rng.randint(3, 10)
+    jumps = [d for d in range(1, n // 2 + 1) if rng.random() < 0.5]
+    return build_graph(n, [(v, (v + d) % n) for v in range(n) for d in jumps])
+
+
+def test_symmetry_returns_the_map_of_the_plain_search_in_no_more_nodes():
+    rng = random.Random(2403)
+    plain_total = pruned_total = found = 0
+    for _ in range(250):
+        g2 = symmetric_graph(rng)
+        # half the time the core descent's kind of search, g2 -> g2
+        g1 = g2 if rng.random() < 0.5 else random_graph(rng, rng.randint(1, 9))
+        sym = [p for p in automorphism_generators(g2)[0] if rng.random() < 0.8]
+        orbits = orbits_of(sym, g2.n)
+        fixed = [orbit[0] for orbit in orbits if len(orbit) == 1]
+        dropped = rng.choice(orbits)  # cleared from every domain but pins
+        domains = []
+        for _ in range(g1.n):
+            if fixed and rng.random() < 0.1:
+                domains.append(1 << rng.choice(fixed))  # a pin on a fixed point
+            else:  # a union of orbits
+                domains.append(
+                    sum(1 << x for o in orbits if o != dropped and rng.random() < 0.9 for x in o)
+                )
+        plain, pruned = SearchBudget(), SearchBudget()
+        want = find_homomorphism(g1, g2, domains, budget=plain)
+        assert find_homomorphism(g1, g2, domains, pruned, sym) == want, (g1.adj, g2.adj)
+        assert pruned.nodes <= plain.nodes
+        plain_total += plain.nodes
+        pruned_total += pruned.nodes
+        found += want is not None
+    assert 25 < found < 225  # both answers are exercised
+    assert pruned_total < plain_total / 2
+
+
+def test_symmetry_must_be_automorphisms_that_map_each_domain_onto_itself():
+    c5 = cycle_graph(5)
+    rotation, reflection = (1, 2, 3, 4, 0), (0, 4, 3, 2, 1)
+    pin = [1] + [31] * 4  # vertex 0 pinned to 0
+    assert find_homomorphism(c5, c5, symmetry=[rotation]) == find_homomorphism(c5, c5)
+    assert find_homomorphism(c5, c5, pin, symmetry=[reflection]) == find_homomorphism(c5, c5, pin)
+    for bad in ([(1, 0, 2, 3, 4)], [(0, 1, 2)], [(0, 1, 2, 3, 3)]):
+        with pytest.raises(ValueError, match="automorphism"):
+            find_homomorphism(c5, c5, symmetry=bad)
+    with pytest.raises(ValueError, match="moves a domain"):
+        find_homomorphism(c5, c5, pin, symmetry=[reflection, rotation])
+
+
+def test_stabiliser_generators_generate_the_point_stabiliser():
+    rng = random.Random(2404)
+    for _ in range(60):
+        g = symmetric_graph(rng)
+        gens, order = automorphism_generators(g)
+        for point in range(g.n):
+            stab = _stabiliser_generators(gens, point)
+            assert all(p[point] == point for p in stab)
+            # Sims filter: no identity, one element per (first moved point, image)
+            firsts = [next(x for x in range(g.n) if p[x] != x) for p in stab]
+            assert len({(x, p[x]) for x, p in zip(firsts, stab)}) == len(stab)
+            # orbit-stabiliser: |Stab| |orbit| = |Aut|
+            assert group_tools(stab, g.n).order * len(_orbit(gens, point)) == order
+
+
 def reference_assign(adj1, adj2, cand, assigned, v, u):
     """Forward checking after sending v to u, leaving v's own candidates
     alone: the map lives in ``img``, not in the candidates."""
@@ -588,10 +662,12 @@ def test_search_budget_counts_nodes_without_a_limit():
     assert report.is_core_itself
     # 18 exhaustive descent searches, each failing
     assert budget.nodes == 23220 and budget.remaining is None
-    # the prism is vertex-transitive: one orbit, so one failing search
+    # the prism is vertex-transitive: one orbit, so one failing search,
+    # which tries one image per orbit of the stabiliser of the dropped
+    # vertex (1,290 nodes when it tried every image)
     budget = SearchBudget()
     assert compute_core(prism, budget=budget) == report
-    assert budget.nodes == 1290 and budget.remaining is None
+    assert budget.nodes == 186 and budget.remaining is None
 
 
 # -- retractions and cores ----------------------------------------------------
@@ -686,8 +762,21 @@ def test_spindle_with_two_apexes_retracts_onto_spindle():
     assert len(blind.core_vertices) == 7
 
 
+def test_prism_of_c5_c5_is_a_core_within_a_budget():
+    # C5[C5] is vertex-transitive and self-complementary.  The one search
+    # of its 50-vertex prism's core descent tries one image per orbit of the
+    # stabiliser of the dropped vertex; trying every image, it was still
+    # undecided after 3,000,000 nodes
+    prism = complementary_prism(lexicographic_product(cycle_graph(5), cycle_graph(5)))
+    budget = SearchBudget(2000)
+    rep = compute_core(prism, budget=budget)
+    assert rep.status == "ok" and rep.is_core_itself
+    assert budget.nodes == 1192
+
+
 def test_core_budget_runs_out_gracefully():
-    rep = compute_core(petersen_graph(), budget=SearchBudget(10))
+    # the Petersen graph's one failing search takes 4 nodes
+    rep = compute_core(petersen_graph(), budget=SearchBudget(3))
     assert rep.status == "unknown"
     assert verify_retraction(petersen_graph(), rep.retraction, rep.core_vertices)
 

@@ -24,11 +24,12 @@ from prismatic.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    lexicographic_product,
     path_graph,
     star_graph,
 )
 from prismatic import structural
-from prismatic.morphisms import BudgetExhausted, SearchBudget
+from prismatic.morphisms import BudgetExhausted, SearchBudget, find_homomorphism
 from prismatic.structural import (
     CHEEGER_BRUTE_MAX_N,
     VERTEX_CONNECTIVITY_BRUTE_MAX_N,
@@ -179,6 +180,49 @@ def test_chromatic_number_matches_reference_route():
         assert set(coloring) == set(range(1, chi + 1)), g.adj
         for u, v in g.edges():
             assert coloring[u] != coloring[v]
+
+
+def mycielskian(g: Graph) -> Graph:
+    """Mycielski's construction: a shadow vertex n + v beside each vertex
+    v, joined to v's neighbours, and an apex joined to every shadow.  It
+    keeps the clique number above 1 and raises chi by one."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [(u, n + v) for u, v in g.edges()] + [(v, n + u) for u, v in g.edges()]
+    edges += [(n + v, 2 * n) for v in range(n)]
+    return build_graph(2 * n + 1, edges)
+
+
+def color_domains(g: Graph, clique, k: int) -> list[int]:
+    """The candidate masks of ``chromatic_number``'s k-coloring search."""
+    return [1 << clique.index(v) if v in clique else (1 << k) - 1 for v in range(g.n)]
+
+
+def test_color_symmetry_keeps_the_coloring_and_prunes_the_refutations():
+    # M(C5[K2]): omega 4, chi 6, DSATUR 7, so the k = 6 search that finds
+    # the coloring has a pair of unpinned colors, 4 and 5, to swap
+    g = mycielskian(lexicographic_product(cycle_graph(5), complete_graph(2)))
+    clique = max_clique(g)
+    chi, coloring, exact = chromatic(g)
+    assert (len(clique), chi, exact) == (4, 6, True)
+    assert max(structural._dsatur_coloring(g)) == 7
+    assert reference_chromatic_number(g) == (6, True)
+    # it is the coloring the search finds without the swap
+    domains = color_domains(g, clique, 6)
+    found = find_homomorphism(g, complete_graph(6), domains)
+    assert find_homomorphism(g, complete_graph(6), domains, symmetry=[(0, 1, 2, 3, 5, 4)]) == found
+    assert coloring == [c + 1 for c in found]
+    # M(M(C5)): omega 2, chi 5; the swap of colors 2 and 3 halves the
+    # proof that no 4-coloring exists
+    g = mycielskian(mycielskian(cycle_graph(5)))
+    clique = max_clique(g)
+    assert (len(clique), *chromatic(g)[::2]) == (2, 5, True)
+    assert reference_chromatic_number(g) == (5, True)
+    plain, pruned = SearchBudget(), SearchBudget()
+    domains = color_domains(g, clique, 4)
+    assert find_homomorphism(g, complete_graph(4), domains, plain) is None
+    assert find_homomorphism(g, complete_graph(4), domains, pruned, [(0, 1, 3, 2)]) is None
+    assert (plain.nodes, pruned.nodes) == (235, 120)
 
 
 def test_invariants_command_on_paley37(capsys):
