@@ -887,7 +887,6 @@ def has_regular_subgroup(group: GroupDescription) -> list[tuple[int, ...]] | Non
     if n == 0:
         raise ValueError("a regular subgroup on no points is undefined")
     elements = group.elements
-    elems_set = set(elements)
     by_target: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(n)}
     for p in elements:
         by_target[p[0]].append(p)
@@ -903,8 +902,6 @@ def has_regular_subgroup(group: GroupDescription) -> list[tuple[int, ...]] | Non
                 if cur != a:
                     return False
                 continue
-            if a not in elems_set:
-                return False
             assign[a[0]] = a
             stack.append(_invert(a))
             for b in list(assign.values()):
@@ -915,10 +912,10 @@ def has_regular_subgroup(group: GroupDescription) -> list[tuple[int, ...]] | Non
     def search(assign: dict[int, tuple[int, ...]]) -> list[tuple[int, ...]] | None:
         if len(assign) == n:
             members = set(assign.values())
-            for a in members:  # final closure sanity check
+            for a in members:  # witness check: the members are closed
                 for b in members:
                     if _compose(a, b) not in members:
-                        return None
+                        raise AssertionError("regular subgroup search produced a non-closed set")
             return sorted(members)
         t = min(x for x in range(n) if x not in assign)
         for cand in by_target[t]:

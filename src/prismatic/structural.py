@@ -444,8 +444,6 @@ def _ham_path_from(g: Graph, start: int, end: int | None, budget: SearchBudget):
 
     def prune(current: int, visited: int) -> bool:
         remaining = full & ~visited
-        if not remaining:
-            return False
         reach = g.component_mask(current, remaining)
         if remaining & ~reach:
             return True

@@ -419,6 +419,7 @@ def assert_input_error(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 @pytest.mark.parametrize("flag", ["--g6", "--name"])
@@ -426,6 +427,11 @@ def test_empty_flag_value_is_rejected_not_read_from_stdin(capsys, monkeypatch, f
     # a graph waits on stdin; the empty flag must not fall through to it
     monkeypatch.setattr(sys, "stdin", io.StringIO("Dhc\n"))
     assert_input_error(capsys, ["aut", flag, ""])
+
+
+def test_name_and_g6_together_exit_2(capsys):
+    err = assert_input_error(capsys, ["aut", "--name", "paley:5", "--g6", "D?{"])
+    assert err == "error: give at most one of --name / --g6\n"
 
 
 def test_cheeger_brute_force_too_large_exits_2(capsys, monkeypatch):
@@ -456,11 +462,10 @@ def test_prism_of_null_graph_exits_2(capsys, argv):
 
 
 def test_hamilton_path_between_bad_endpoints_exit_2(capsys):
+    argv = ["hamilton", "--name", "cycle:5", "--mode", "path_between"]
+    assert_input_error(capsys, argv)  # no --endpoints at all
     for endpoints in ("0,0", "0,9", "-1,2", "0"):
-        assert_input_error(
-            capsys,
-            ["hamilton", "--name", "cycle:5", "--mode", "path_between", f"--endpoints={endpoints}"],
-        )
+        assert_input_error(capsys, argv + [f"--endpoints={endpoints}"])
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

@@ -121,6 +121,9 @@ def test_is_homomorphism_plain():
     assert is_homomorphism(c6, k2, [0, 1, 0, 1, 0, 1])
     assert not is_homomorphism(c6, k2, [0, 1, 0, 1, 0, 0])
     assert not is_homomorphism(c6, k2, [0, 1, 0])
+    # an image outside V(k2) is a "no", not an IndexError
+    assert not is_homomorphism(c6, k2, [0, 1, 0, 1, 0, 2])
+    assert not is_homomorphism(c6, k2, [0, 1, 0, 1, 0, -1])
 
 
 def test_is_isomorphism_map():
@@ -685,6 +688,10 @@ def test_verify_retraction():
     # a claimed core outside V(g) is a "no", not an error
     assert not verify_retraction(complete_graph(1), [0], [0, 3])
     assert not verify_retraction(c6, [0, 1, 0, 1, 0, 1], [0, 1, -1])
+    # so is an image that leaves V(g) or does not cover it
+    c5 = cycle_graph(5)
+    for image in ([0, 1, 2, 3, 7], [0, 1, 2, 3, -1], [0, 1, 2, 3]):
+        assert not verify_retraction(c5, image, range(5))
 
 
 def test_core_of_even_cycle_is_an_edge():

@@ -2,9 +2,10 @@
 
 A public module-level function or class, or a public method of a public
 class, counts as reached when something other than its own definition names
-it: code anywhere in ``src/prismatic`` (the package ``__init__`` re-exports
-every name, so it does not count), a bench script, or README.md, whose
-Library section lists the API that nothing in the repository calls.
+it: code anywhere in ``src/prismatic`` (the package root defines nothing but
+its docstring, so every name is imported from its module), a bench script,
+or README.md, whose Library section lists the API that nothing in the
+repository calls.
 """
 
 import argparse

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from prismatic.families import exa1_graph, figure_f9, paley_graph, petersen_graph
+from prismatic.families import exa1_graph, figure_f9, kneser_graph, paley_graph, petersen_graph
 from prismatic.graphs import (
     build_graph,
     complementary_prism,
@@ -235,6 +235,16 @@ def test_even_cycle_is_one_walk_regular_without_being_srg():
     report = srg_analysis(cycle_graph(6))
     assert report.srg_params is None
     assert report.one_walk_regular is True
+
+
+def test_walk_regularity_scan_past_int64():
+    # K(7,3) is not strongly regular, so srg_analysis scans A^2 .. A^35; its
+    # 4-regular powers grow like 4^i, and from A^31 on the next product could
+    # overflow int64, so the scan finishes in Python integers.  Arc-transitive
+    # graphs are 1-walk-regular, so no power yields a witness.
+    report = srg_analysis(kneser_graph(7, 3))
+    assert report.srg_params is None
+    assert report.witness is None and report.edge_witness is None
 
 
 # -- theta bounds -----------------------------------------------------------------

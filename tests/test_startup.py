@@ -1,10 +1,14 @@
-"""numpy is imported on first use, so commands that never compute with it
-start without loading it.
+"""Start-up loads only what is used.
 
-One fresh interpreter imports the CLI, runs every numpy-free command in
-turn and checks after each that numpy is still absent; then it runs a
-spectrum and checks that numpy has been loaded.  A module-level
-``import numpy`` anywhere on the CLI's import path fails the first check.
+numpy is imported on first use, so commands that never compute with it
+start without loading it.  One fresh interpreter imports the CLI, runs
+every numpy-free command in turn and checks after each that numpy is still
+absent; then it runs a spectrum and checks that numpy has been loaded.  A
+module-level ``import numpy`` anywhere on the CLI's import path fails the
+first check.
+
+The package root imports nothing, so importing one module loads only the
+package modules it imports itself: ``prismatic.graphs`` loads no other.
 """
 
 import json
@@ -55,11 +59,29 @@ assert "numpy" in sys.modules, "spectrum ran without numpy"
 """
 
 
-def test_numpy_loads_only_for_the_commands_that_use_it():
+GRAPHS_ALONE = """
+import sys
+
+import prismatic.graphs
+
+loaded = sorted(k for k in sys.modules if k.split(".")[0] == "prismatic")
+assert loaded == ["prismatic", "prismatic.graphs"], loaded
+"""
+
+
+def run_child(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(NUMPY_FREE)],
+        [sys.executable, "-c", *args],
         stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_loads_only_for_the_commands_that_use_it():
+    run_child(CHILD, json.dumps(NUMPY_FREE))
+
+
+def test_graphs_module_loads_no_other_package_module():
+    run_child(GRAPHS_ALONE)
