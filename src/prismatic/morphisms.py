@@ -138,26 +138,21 @@ def is_antimorphism_map(g: Graph, image) -> bool:
 
 
 def _initial_candidates(g1: Graph, g2: Graph) -> list[int] | None:
-    """Per-vertex candidate bitmasks by degree and neighbour-degree profile,
-    or None when the graphs are certainly not isomorphic."""
-    n = g1.n
-    if n != g2.n or g1.edge_count() != g2.edge_count():
-        return None
+    """Per-vertex candidate bitmasks, the vertices of g2 of equal degree,
+    or None when the degree sequences differ (so do unequal vertex or edge
+    counts).
+
+    Degree classes suffice: once v is pinned to u, forward checking in
+    ``_assign`` splits every other vertex's candidates into the neighbours
+    of u and the rest, so a vertex whose neighbours' degrees differ from
+    its candidate's is refuted one level below the pin."""
     deg1, deg2 = g1.degrees(), g2.degrees()
     if sorted(deg1) != sorted(deg2):
         return None
-    prof1 = [tuple(sorted(deg1[u] for u in g1.neighbors(v))) for v in range(n)]
-    prof2 = [tuple(sorted(deg2[u] for u in g2.neighbors(v))) for v in range(n)]
-    init = []
-    for v in range(n):
-        m = 0
-        for u in range(n):
-            if deg1[v] == deg2[u] and prof1[v] == prof2[u]:
-                m |= 1 << u
-        if m == 0:
-            return None
-        init.append(m)
-    return init
+    masks: dict[int, int] = {}
+    for u, d in enumerate(deg2):
+        masks[d] = masks.get(d, 0) | 1 << u
+    return [masks[d] for d in deg1]
 
 
 def _assign(adj1, adj2, cand: list[int], assigned: int, v: int, u: int) -> list[int] | None:
@@ -501,7 +496,9 @@ def compute_core(
     mask), converting it into a retraction and restricting.  When no vertex
     can be dropped (each drop either ruled out by the exhaustive search or
     by the clique bound: a homomorphism cannot shrink the clique number),
-    the retract is a core.
+    the retract is a core.  The clique bound applies at every size: each
+    retract's clique number is computed, and a vertex whose removal lowers
+    it is ruled out without a search.
 
     Each step searches only the least vertex of each orbit of Aut(retract),
     in ascending order.  If an automorphism sigma sends v to w, then
@@ -547,12 +544,12 @@ def compute_core(
             sub = g.induced(current)
             m = sub.n
             full = (1 << m) - 1
-            omega = len(max_clique(sub)) if m <= 60 else None
+            omega = len(max_clique(sub))
             gens = automorphism_generators(sub)[0]
             # orbits_of lists each orbit sorted, in ascending order of its least vertex
             for pos in (orbit[0] for orbit in orbits_of(gens, m)):
                 minus = [i for i in range(m) if i != pos]
-                if omega is not None and len(max_clique(sub.induced(minus))) < omega:
+                if len(max_clique(sub.induced(minus))) < omega:
                     continue  # a homomorphism cannot shrink the clique number
                 found = find_homomorphism(
                     sub,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -40,6 +41,7 @@ from prismatic.morphisms import (
     is_isomorphism_map,
     is_self_complementary,
     is_vertex_transitive,
+    max_clique,
     orbits_of,
     same_group,
     verify_retraction,
@@ -56,7 +58,6 @@ from prismatic.morphisms import (
     _stabilized_retraction,
 )
 from prismatic.prisms import special_automorphism, structured_prism_aut
-from prismatic.structural import max_clique
 
 # -- permutations as image tuples ---------------------------------------------
 
@@ -212,6 +213,54 @@ def test_isomorphism_limit_and_negatives():
 def test_prism_of_pentagon_is_petersen():
     prism = complementary_prism(cycle_graph(5))
     assert find_isomorphisms(prism, petersen_graph(), limit=1)
+
+
+def brute_isomorphisms(g1, g2):
+    """Every permutation the independent verifier accepts as g1 -> g2: an
+    oracle sharing no code with the searches' candidate masks."""
+    return {p for p in itertools.permutations(range(g1.n)) if is_isomorphism_map(g1, g2, p)}
+
+
+def two_switch(rng, g):
+    """g with edges ab, cd replaced by ac, bd where those are non-edges: the
+    same degree sequence, often a different isomorphism class."""
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for (a, b), (c, d) in itertools.combinations(edges, 2):
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            kept = [e for e in edges if e not in ((a, b), (c, d))]
+            return build_graph(g.n, kept + [(a, c), (b, d)])
+    return None
+
+
+def degree_profiles(g):
+    """The multiset of (degree, sorted neighbour degrees) over the vertices."""
+    deg = g.degrees()
+    return sorted((deg[v], sorted(deg[u] for u in g.neighbors(v))) for v in range(g.n))
+
+
+def test_isomorphism_searches_match_the_brute_force_oracle():
+    rng = random.Random(28)
+    graphs = [random_graph(rng, rng.randint(1, 6)) for _ in range(60)]
+    graphs += [complementary_prism(random_graph(rng, rng.randint(1, 3))) for _ in range(12)]
+    graphs += [cycle_graph(6), path_graph(5), petersen_graph().induced(range(6))]
+    pairs = [(g, g.relabel(rng.sample(range(g.n), g.n))) for g in graphs]
+    six = [random_graph(rng, 6) for _ in range(40)]
+    switched = [(g, h) for g in graphs + six if (h := two_switch(rng, g)) is not None]
+    pairs += switched
+    pairs.append((cycle_graph(6), build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])))
+    # pairs with one degree sequence that the neighbour-degree profiles tell apart
+    profiled = [(g, h) for g, h in switched if degree_profiles(g) != degree_profiles(h)]
+    assert len(profiled) >= 5
+    for g1, g2 in pairs:
+        want = brute_isomorphisms(g1, g2)
+        got = find_isomorphisms(g1, g2)
+        assert len(got) == len(set(got)) and set(got) == want, (g1.adj, g2.adj)
+    for g in graphs:
+        autos = brute_isomorphisms(g, g)
+        gens, order = automorphism_generators(g)
+        assert order == len(autos) and set(gens) <= autos
+        assert set(find_antimorphisms(g)) == brute_isomorphisms(g, g.complement())
 
 
 # -- antimorphisms ------------------------------------------------------------
@@ -781,6 +830,27 @@ def test_prism_of_c5_c5_is_a_core_within_a_budget():
     assert budget.nodes == 1192
 
 
+def test_clique_bound_applies_above_sixty_vertices():
+    # K9 with a pendant path of i + 1 vertices at clique vertex i, the last
+    # path lengthened to 61 vertices in all.  The clique bound rules every
+    # clique vertex out at once; searching to refute each of those drops
+    # spent 260,711 nodes when the bound stopped at 60 vertices
+    edges = [(a, b) for a in range(9) for b in range(a + 1, 9)]
+    n = 9
+    for i in range(9):
+        prev = i
+        for _ in range(i + 1 if i < 8 else 16):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    g = build_graph(n, edges)
+    assert g.n == 61
+    budget = SearchBudget(1000)
+    rep = compute_core(g, budget=budget)
+    assert rep.status == "ok" and rep.core_vertices == tuple(range(9))
+    assert verify_retraction(g, rep.retraction, rep.core_vertices)
+    assert budget.nodes == 62
+
+
 def test_core_budget_runs_out_gracefully():
     # the Petersen graph's one failing search takes 4 nodes
     rep = compute_core(petersen_graph(), budget=SearchBudget(3))
@@ -815,13 +885,13 @@ def reference_compute_core(g, budget=None, seed_endomorphisms=()):
     while True:
         sub = g.induced(current)
         m = sub.n
-        omega = len(max_clique(sub)) if m <= 60 else None
+        omega = len(max_clique(sub))
         progressed = False
         try:
             for pos in range(m):
                 keep = [i for i in range(m) if i != pos]
                 target = sub.induced(keep)
-                if omega is not None and len(max_clique(target)) < omega:
+                if len(max_clique(target)) < omega:
                     continue
                 found = find_homomorphism(sub, target, budget=budget)
                 if found is None:

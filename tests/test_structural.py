@@ -29,7 +29,7 @@ from prismatic.graphs import (
     star_graph,
 )
 from prismatic import structural
-from prismatic.morphisms import BudgetExhausted, SearchBudget, find_homomorphism
+from prismatic.morphisms import BudgetExhausted, SearchBudget, find_homomorphism, max_clique
 from prismatic.structural import (
     CHEEGER_BRUTE_MAX_N,
     VERTEX_CONNECTIVITY_BRUTE_MAX_N,
@@ -43,7 +43,6 @@ from prismatic.structural import (
     hamiltonian,
     invariants,
     kneser_facts,
-    max_clique,
     max_independent_set,
     prism_ham_constructions,
     vertex_connectivity,
