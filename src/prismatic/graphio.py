@@ -1,4 +1,4 @@
-"""graph6 codec and DOT export.
+"""graph6 codec.
 
 graph6 is the standard printable-ASCII encoding: a size prefix N(n) followed
 by the upper triangle of the adjacency matrix in column-major order, packed
@@ -97,14 +97,3 @@ def parse_graph6(text: str) -> Graph:
         for r in bits(column):
             adj[r] |= 1 << c
     return Graph._trusted(n, adj)
-
-
-def write_dot(g: Graph) -> str:
-    """Lossy pretty-printer (labels only, no layout).  graph6 is canonical."""
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append("  %d;" % v)
-    for u, v in g.edges():
-        lines.append("  %d -- %d;" % (u, v))
-    lines.append("}")
-    return "\n".join(lines)

@@ -200,9 +200,7 @@ def _extend(adj1, adj2, cand, assigned, limit, results) -> bool:
     if assigned == (1 << len(cand)) - 1:
         results.append(_singletons(cand))
         return limit is not None and len(results) >= limit
-    v, count = _branch_vertex(cand, assigned)
-    if count == 0:
-        return False
+    v = _branch_vertex(cand, assigned)[0]
     for u in bits(cand[v]):
         nxt = _assign(adj1, adj2, cand, assigned, v, u)
         if nxt is not None and _extend(adj1, adj2, nxt, assigned | 1 << v, limit, results):

@@ -351,17 +351,18 @@ CHEEGER_BRUTE_MAX_N = 20
 def cheeger_brute_force(g: Graph) -> CheegerReport:
     """Exact Cheeger number by scanning every partition with |S| <= |T|.
 
-    A subset DP over the low bit tabulates the edge boundary of all 2^n
-    subsets at once: for S within vertices 0..k-1,
+    A subset DP tabulates the edge boundary of all 2^n subsets at once: for
+    S within vertices 0..k-1,
 
         boundary[S + {k}] = boundary[S] + deg(k) - 2 |N(k) & S|,
 
-    one vector step per vertex.  Each step is an outer sum over a split of
-    S into high and low bits, so no temporary is as large as the table.
-    The minimum of boundary/|S| over 1 <= |S| <= n/2 is taken exactly:
-    the minimum boundary per size, compared by cross-multiplication.  The
-    witness is the smallest mask attaining it, and ``_report_for`` counts
-    its boundary again edge by edge.
+    one vector step per vertex, filling entries 2^k..2^(k+1)-1 of the table
+    from entries 0..2^k-1.  The table is int16: every boundary lies in
+    [0, n^2 / 4], at most 100.  The minimum of boundary/|S| over
+    1 <= |S| <= n/2 is taken exactly: the minimum boundary per size,
+    compared by cross-multiplication.  The witness is the least mask
+    attaining it, and ``_report_for`` counts its boundary again edge by
+    edge.
     """
     n = g.n
     if n > CHEEGER_BRUTE_MAX_N:
@@ -371,31 +372,15 @@ def cheeger_brute_force(g: Graph) -> CheegerReport:
     import numpy as np
 
     half = n // 2
-    # a subset S splits into a high part y and a low part x:
-    # S = y * 2^low + x with x < 2^low
-    low = half
-    parts = np.arange(1 << (n - low), dtype=np.uint32)
-    adj = np.array(g.adj, dtype=np.uint32)[:, None]
-    # step_high[k, y] + step_low[k, x] is the change of the boundary when k
-    # joins S = y * 2^low + x.  The table is uint8: its arithmetic is exact
-    # mod 256 and every boundary lies in [0, n^2 / 4] (at most 100), so
-    # negative steps wrap and every entry ends up exact.
-    step_low = np.bitwise_count(adj & parts[: 1 << low])
-    step_low = np.negative(step_low + step_low)
-    step_high = np.bitwise_count((adj >> low) & parts)
-    step_high = np.bitwise_count(adj) - step_high - step_high
-    boundary = np.empty(1 << n, dtype=np.uint8)
+    subsets = np.arange(1 << n, dtype=np.uint32)
+    boundary = np.empty(1 << n, dtype=np.int16)
     boundary[0] = 0
-    for k in range(n):
+    for k, row in enumerate(g.adj):
         m = 1 << k
-        b = min(k, low)
-        block = boundary[m : 2 * m].reshape(m >> b, 1 << b)
-        np.add(step_high[k, : m >> b, None], step_low[k, : 1 << b], out=block)
-        block += boundary[:m].reshape(block.shape)
-    ones = np.bitwise_count(parts)
-    sizes = np.empty(1 << n, dtype=np.uint8)
-    np.add(ones[:, None], ones[: 1 << low], out=sizes.reshape(-1, 1 << low))
-    least = np.full(n + 1, 255, dtype=np.uint8)
+        shared = np.bitwise_count(subsets[:m] & row)
+        boundary[m : 2 * m] = boundary[:m] + row.bit_count() - 2 * shared
+    sizes = np.bitwise_count(subsets)
+    least = np.full(n + 1, n * n, dtype=np.int16)
     np.minimum.at(least, sizes, boundary)
     least = least.tolist()
     best_e, best_s = least[1], 1

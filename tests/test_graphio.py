@@ -9,7 +9,6 @@ from prismatic.graphio import (
     _decode_size,
     _encode_size,
     parse_graph6,
-    write_dot,
     write_graph6,
 )
 from prismatic.graphs import Graph, build_graph, complete_graph, cycle_graph, empty_graph
@@ -147,13 +146,6 @@ def test_graph6_rejects_garbage():
 def test_graph6_ignores_optional_header():
     s = write_graph6(cycle_graph(4))
     assert parse_graph6(">>graph6<<" + s).adj == cycle_graph(4).adj
-
-
-def test_dot_output_mentions_all_edges():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    dot = write_dot(g)
-    assert "0 -- 1" in dot and "1 -- 2" in dot
-    assert dot.startswith("graph G {\n") and dot.endswith("\n}")
 
 
 def test_fixture_loading():

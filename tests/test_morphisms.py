@@ -204,6 +204,7 @@ def test_automorphism_counts():
 def test_isomorphism_limit_and_negatives():
     c6 = cycle_graph(6)
     assert len(find_isomorphisms(c6, c6, limit=3)) == 3
+    assert find_isomorphisms(c6, c6, limit=0) == []
     assert find_isomorphisms(c6, path_graph(6)) == []
     assert find_isomorphisms(c6, cycle_graph(5)) == []
     two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

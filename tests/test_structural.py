@@ -311,6 +311,8 @@ def test_vertex_connectivity_special_cases():
     assert vertex_connectivity(star_graph(5))[0] == 1
     assert vertex_connectivity(cycle_graph(5))[0] == 2
     assert vertex_connectivity(petersen_graph())[0] == 3
+    assert vertex_connectivity_brute(complete_graph(1)) == 0
+    assert vertex_connectivity_brute(empty_graph(0)) == 0
 
 
 def test_vertex_connectivity_cut_disconnects():
@@ -555,6 +557,24 @@ def test_cheeger_kernel_matches_reference_on_extreme_graphs(n):
         assert cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
 
 
+@pytest.mark.parametrize(
+    "g",
+    [star_graph(10), cycle_graph(10), path_graph(10)]
+    + [random_graph(10, random.Random(seed)) for seed in (1, 2)],
+    ids=["star", "cycle", "path", "gnp-1", "gnp-2"],
+)
+def test_cheeger_brute_force_matches_closed_form_on_twenty_vertex_prisms(g):
+    prism = complementary_prism(g)
+    assert prism.n == CHEEGER_BRUTE_MAX_N
+    assert cheeger_brute_force(prism).value == cheeger_closed_form(g).value, g.adj
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_cheeger_kernel_matches_reference_at_sixteen_and_eighteen_vertices(n):
+    g = random_graph(n, random.Random(n))
+    assert cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
+
+
 def test_cheeger_value_invariant_under_relabelling():
     rng = random.Random(8)
     for n in range(2, 13):
@@ -591,6 +611,7 @@ def test_hamiltonian_paths():
     assert p is not None and sorted(p) == [0, 1, 2, 3]
     assert hamiltonian(path_graph(4), "cycle") is None
     assert hamiltonian(star_graph(4), "path") is None
+    assert hamiltonian(complete_graph(1), "path") == [0]
 
 
 def test_petersen_is_hypohamiltonian_boundary():
