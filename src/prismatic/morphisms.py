@@ -11,8 +11,9 @@ This module provides
   endomorphism (one search per automorphism orbit of the retract, after a
   clique-number bound, each trying one image per orbit of the stabiliser
   of the dropped vertex), convert it into a retraction, restrict, repeat,
-* permutation groups as generators plus a Schreier-Sims stabilizer chain
-  (order, orbits, membership), automorphism group generators by
+* permutation groups as generators plus a stabilizer chain built level by
+  level from Sims-filtered Schreier generators (order, orbits,
+  membership), automorphism group generators by
   orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
   search, and wreath-type maps on lexicographic products.
 
@@ -554,7 +555,7 @@ def compute_core(
                     sub,
                     [full & ~(1 << pos)] * m,
                     budget=budget,
-                    symmetry=_stabiliser_generators(gens, pos),
+                    symmetry=_stabiliser_generators(gens, pos)[1] if gens else (),
                 )
                 if found is None:
                     continue
@@ -614,7 +615,7 @@ class GroupDescription:
         h = tuple(perm)
         if sorted(h) != list(range(self.degree)):
             return False
-        return _sift(self.base, self.transversals, h, 0)[0] == tuple(range(self.degree))
+        return _sift(self.base, self.transversals, h) == tuple(range(self.degree))
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -653,129 +654,74 @@ def _orbit(perms, v: int) -> set[int]:
     return orbit
 
 
-def _sift(base, trans, h: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int]:
-    """Sift h through levels i, i+1, ... of a stabilizer chain: the residue
-    and the level it stopped at (len(base) when it passed every level)."""
-    while i < len(base):
-        entry = trans[i].get(h[base[i]])
+def _sift(base, trans, h: tuple[int, ...]) -> tuple[int, ...]:
+    """Sift h through a stabilizer chain: the residue, which is the
+    identity exactly when h is in the group."""
+    for b, level in zip(base, trans):
+        entry = level.get(h[b])
         if entry is None:
             break
         h = _compose(entry[1], h)
-        i += 1
-    return h, i
+    return h
 
 
-def _schreier_sims(gens: list[tuple[int, ...]], n: int):
-    """Deterministic Schreier-Sims: a base of <gens> and the transversals of
-    a strong generating set.
+def _stabiliser_generators(gens, point: int) -> tuple[dict, list[tuple[int, ...]]]:
+    """One level of a stabiliser chain of the group <gens>: the transversal
+    of the orbit of ``point`` and generators of the stabiliser of ``point``.
 
-    Level by level from the bottom, every Schreier generator is sifted
-    through the levels below; a nonidentity residue joins the strong
-    generators of every level it fixes the base points above (with a new
-    base point if it fixes the whole base), those levels are rebuilt and
-    the check resumes at the deepest of them (Sims 1970; Seress,
-    Permutation Group Algorithms, 2003, section 4.2).
-    """
-    ident = tuple(range(n))
-    base: list[int] = []
-    for g in gens:
-        if all(g[b] == b for b in base):
-            base.append(next(x for x in range(n) if g[x] != x))
-    strong = [list(gens)]  # strong[i]: strong generators fixing base[:i]
-    for i in range(1, len(base)):
-        strong.append([g for g in strong[i - 1] if g[base[i - 1]] == base[i - 1]])
-    trans: list[dict] = [{} for _ in base]
-
-    def build(i: int) -> None:
-        level = {base[i]: (ident, ident)}
-        queue = [base[i]]
-        for beta in queue:
-            u = level[beta][0]
-            for s in strong[i]:
-                gamma = s[beta]
-                if gamma not in level:
-                    v = _compose(s, u)
-                    level[gamma] = (v, _invert(v))
-                    queue.append(gamma)
-        trans[i] = level
-
-    def residue(i: int):
-        """A nonidentity residue of a Schreier generator of level i and the
-        level it stopped at, or None when every one sifts to the identity."""
-        for beta, (u, _) in trans[i].items():
-            for s in strong[i]:
-                su = _compose(s, u)
-                target, target_inv = trans[i][s[beta]]
-                if su == target:
-                    continue  # a tree edge of the orbit: the identity
-                h, j = _sift(base, trans, _compose(target_inv, su), i + 1)
-                if h != ident:
-                    return h, j
-        return None
-
-    for i in range(len(base)):
-        build(i)
-    i = len(base) - 1
-    while i >= 0:
-        found = residue(i)
-        if found is None:
-            i -= 1
-            continue
-        h, j = found
-        if j == len(base):
-            base.append(next(x for x in range(n) if h[x] != x))
-            strong.append([])
-            trans.append({})
-        for level in range(i + 1, j + 1):
-            strong[level].append(h)
-            build(level)
-        i = j
-    return tuple(base), tuple(trans)
-
-
-def _stabiliser_generators(gens, point: int) -> list[tuple[int, ...]]:
-    """Generators of the stabiliser of ``point`` in the group <gens>.
-
-    Schreier's lemma: with t_b an element of the group sending ``point`` to
-    b, the elements t_{s(b)}^-1 s t_b over every generator s and every b in
-    the orbit generate the stabiliser.  A Sims filter then keeps at most one
+    The transversal maps each point b of the orbit, found breadth first, to
+    a pair (t_b, t_b^-1) with t_b sending ``point`` to b.  Schreier's lemma:
+    the elements t_{s(b)}^-1 s t_b over every generator s and every b
+    generate the stabiliser; a tree edge of the orbit (s t_b = t_{s(b)})
+    gives the identity and is skipped.  A Sims filter then keeps at most one
     element per (first moved point, its image): an element whose pair is
     taken is divided by the kept one, which fixes one more point, until it
     finds a free pair or becomes the identity.  The kept elements generate
-    the same group (Seress, Permutation Group Algorithms, 2003, section 4).
+    the same group (Seress, Permutation Group Algorithms, 2003, section 4),
+    and as a kept element fixes every point below its first moved point,
+    its image is larger: a level keeps at most n(n-1)/2 elements on n
+    points.  ``gens`` must be nonempty.
     """
-    if not gens:
-        return []
     ident = tuple(range(len(gens[0])))
-    transversal = {point: ident}
+    transversal = {point: (ident, ident)}
     queue = [point]
     for b in queue:
+        t = transversal[b][0]
         for s in gens:
             c = s[b]
             if c not in transversal:
-                transversal[c] = _compose(s, transversal[b])
+                u = _compose(s, t)
+                transversal[c] = (u, _invert(u))
                 queue.append(c)
-    kept: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b, t in transversal.items():
+    kept: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for b, (t, _) in transversal.items():
         for s in gens:
-            h = _compose(_invert(transversal[s[b]]), _compose(s, t))
+            st = _compose(s, t)
+            target, target_inv = transversal[s[b]]
+            if st == target:
+                continue  # a tree edge of the orbit: the identity
+            h = _compose(target_inv, st)
             first = 0
             while h != ident:
                 while h[first] == first:
                     first += 1
                 key = (first, h[first])
                 if key not in kept:
-                    kept[key] = h
+                    kept[key] = (h, _invert(h))
                     break
-                h = _compose(_invert(kept[key]), h)
-    return list(kept.values())
+                h = _compose(kept[key][1], h)
+    return transversal, [h for h, _ in kept.values()]
 
 
 def group_tools(generators, degree: int) -> GroupDescription:
     """The group generated by ``generators``, permutations of
     {0..degree-1} as image sequences, with its stabilizer chain.
 
-    Identity generators and duplicates are dropped.  Raises ValueError for
+    The chain is built top-down, one ``_stabiliser_generators`` call per
+    level: each level's base point is the first point moved by its first
+    generator, and its generators are the stabiliser generators of the
+    level above; the chain ends at the first level with none.  Identity
+    generators and duplicates are dropped.  Raises ValueError for
     a generator that is not a permutation of {0..degree-1}.
     """
     uniq = {tuple(p) for p in generators}
@@ -783,17 +729,21 @@ def group_tools(generators, degree: int) -> GroupDescription:
         raise ValueError(f"generator is not a permutation of range({degree})")
     uniq.discard(tuple(range(degree)))
     gens = tuple(sorted(uniq))
-    base, transversals = _schreier_sims(list(gens), degree)
-    order = 1
-    for level in transversals:
+    base, transversals, order = [], [], 1
+    level_gens = gens
+    while level_gens:
+        point = next(x for x, y in enumerate(level_gens[0]) if x != y)
+        level, level_gens = _stabiliser_generators(level_gens, point)
+        base.append(point)
+        transversals.append(level)
         order *= len(level)
     return GroupDescription(
         generators=gens,
         order=order,
         orbits=orbits_of(gens, degree),
         degree=degree,
-        base=base,
-        transversals=transversals,
+        base=tuple(base),
+        transversals=tuple(transversals),
     )
 
 
@@ -853,12 +803,12 @@ def automorphism_generators(g: Graph) -> tuple[list[tuple[int, ...]], int]:
 
 def automorphism_group(g: Graph) -> GroupDescription:
     """The full automorphism group of g: the generators found by
-    ``automorphism_generators`` with their Schreier-Sims chain, whose order
+    ``automorphism_generators`` with their stabilizer chain, whose order
     must equal the search's product of orbit sizes."""
     gens, order = automorphism_generators(g)
     group = group_tools(gens, g.n)
     if group.order != order:
-        raise AssertionError("Schreier-Sims order disagrees with the search's orbit sizes")
+        raise AssertionError("stabilizer chain order disagrees with the search's orbit sizes")
     return group
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 
@@ -600,8 +601,15 @@ def test_stabiliser_generators_generate_the_point_stabiliser():
     for _ in range(60):
         g = symmetric_graph(rng)
         gens, order = automorphism_generators(g)
+        if not gens:
+            continue
+        ident = tuple(range(g.n))
         for point in range(g.n):
-            stab = _stabiliser_generators(gens, point)
+            transversal, stab = _stabiliser_generators(gens, point)
+            # the pairs _sift relies on: t sends point to its key, t^-1 undoes t
+            assert set(transversal) == _orbit(gens, point)
+            for b, (t, t_inv) in transversal.items():
+                assert t[point] == b and _compose(t, t_inv) == ident
             assert all(p[point] == point for p in stab)
             # Sims filter: no identity, one element per (first moved point, image)
             firsts = [next(x for x in range(g.n) if p[x] != x) for p in stab]
@@ -979,7 +987,7 @@ class CapExceeded(Exception):
 
 def close_under_composition(perms, cap: int = 10**6) -> list[tuple[int, ...]]:
     """BFS closure of a set of permutations (image tuples) under
-    composition: the brute-force reference for the Schreier-Sims chain of
+    composition: the brute-force reference for the stabilizer chain of
     ``group_tools``.
 
     The identity is always included.  Raises CapExceeded past ``cap``.
@@ -1042,11 +1050,13 @@ def test_automorphism_group_matches_full_enumeration_on_random_graphs():
 
 def random_generators(rng, n):
     """One to three permutations of degree n, drawn so that small subgroups
-    (with fixed points, cyclic) turn up as well as S_n and A_n."""
+    (with fixed points, cyclic) turn up as well as S_n and A_n; or, half the
+    time, a redundant set of four to eight, some of them products of earlier
+    ones, so that the Sims filter divides elements at several levels."""
     gens = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(4, 8)):
         image = list(range(n))
-        kind = rng.randrange(4)
+        kind = rng.randrange(5 if gens else 4)
         if kind == 0:  # any permutation
             rng.shuffle(image)
         elif kind == 1:  # any permutation of a random subset
@@ -1056,9 +1066,11 @@ def random_generators(rng, n):
         elif kind == 2:  # a transposition, or the identity
             x, y = rng.randrange(n), rng.randrange(n)
             image[x], image[y] = y, x
-        else:  # a rotation of the first m points
+        elif kind == 3:  # a rotation of the first m points
             m, shift = rng.randint(1, n), rng.randrange(n)
             image[:m] = [(x + shift) % m for x in range(m)]
+        else:  # a product of two earlier ones
+            image = _compose(rng.choice(gens), rng.choice(gens))
         gens.append(tuple(image))
     return gens
 
@@ -1101,6 +1113,22 @@ def test_same_group_compares_order_and_generators():
 def test_kneser_orders(n, k, order):
     grp = automorphism_group(kneser_graph(n, k))  # S_n, as n > 2k
     assert grp.order == order and grp.is_transitive()
+
+
+@pytest.mark.parametrize(
+    "g,order",
+    [(empty_graph(n), math.factorial(n)) for n in range(1, 13)]
+    + [
+        # Sabidussi: Aut(C5[H]) is Aut(H) wr D5, of order |Aut(H)|^5 * 10, and
+        # the prism of the self-complementary C5[H] doubles it
+        (complementary_prism(lexicographic_product(cycle_graph(5), cycle_graph(5))), 2 * 10**5 * 10),
+        (complementary_prism(lexicographic_product(cycle_graph(5), paley_graph(9))), 2 * 72**5 * 10),
+    ],
+    ids=[f"empty:{n}" for n in range(1, 13)] + ["C5[C5]-prism", "C5[Paley(9)]-prism"],
+)
+def test_closed_form_orders_past_the_closure_reference(g, order):
+    # chains up to 15 levels deep, on groups far too large to enumerate
+    assert automorphism_group(g).order == order
 
 
 def test_kneser_9_2_order():
