@@ -14,8 +14,7 @@ This module provides
 * permutation groups as generators plus a stabilizer chain built level by
   level from Sims-filtered Schreier generators (order, orbits,
   membership), automorphism group generators by
-  orbit-pruned search, vertex-transitivity, exhaustive regular-subgroup
-  search, and wreath-type maps on lexicographic products.
+  orbit-pruned search, and exhaustive regular-subgroup search.
 
 Each search keeps one state, its candidate bitmasks: an assigned vertex is
 pinned to a single candidate, and the map a search returns is read off
@@ -32,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import inf, lcm
 
-from .graphs import Graph, bits, lexicographic_product
+from .graphs import Graph, bits
 
 
 class BudgetExhausted(Exception):
@@ -172,9 +171,9 @@ def _assign(adj1, adj2, cand: list[int], assigned: int, v: int, u: int) -> list[
     return nxt
 
 
-def _branch_vertex(cand: list[int], assigned: int) -> tuple[int, int]:
+def _branch_vertex(cand: list[int], assigned: int) -> int:
     """The unassigned vertex with the fewest candidates (ties broken by
-    index) and its candidate count."""
+    index)."""
     best_v, best_c = -1, inf
     for v in range(len(cand)):
         if not assigned >> v & 1:
@@ -183,7 +182,7 @@ def _branch_vertex(cand: list[int], assigned: int) -> tuple[int, int]:
                 best_v, best_c = v, c
                 if c <= 1:
                     break
-    return best_v, best_c
+    return best_v
 
 
 def _singletons(cand: list[int]) -> tuple[int, ...]:
@@ -201,7 +200,7 @@ def _extend(adj1, adj2, cand, assigned, limit, results) -> bool:
     if assigned == (1 << len(cand)) - 1:
         results.append(_singletons(cand))
         return limit is not None and len(results) >= limit
-    v = _branch_vertex(cand, assigned)[0]
+    v = _branch_vertex(cand, assigned)
     for u in bits(cand[v]):
         nxt = _assign(adj1, adj2, cand, assigned, v, u)
         if nxt is not None and _extend(adj1, adj2, nxt, assigned | 1 << v, limit, results):
@@ -350,7 +349,7 @@ def find_homomorphism(
         budget.spend()
         if assigned == full1:
             return cand
-        v = _branch_vertex(cand, assigned)[0]
+        v = _branch_vertex(cand, assigned)
         assigned |= 1 << v
         rest = cand[v]
         while rest:
@@ -775,7 +774,7 @@ def automorphism_generators(g: Graph) -> tuple[list[tuple[int, ...]], int]:
     path = []  # (candidates, assigned mask, branch vertex) per level
     assigned = 0
     while assigned != (1 << n) - 1:
-        v = _branch_vertex(cand, assigned)[0]
+        v = _branch_vertex(cand, assigned)
         path.append((cand, assigned, v))
         cand = _assign(adj, adj, cand, assigned, v, v)
         assigned |= 1 << v
@@ -810,12 +809,6 @@ def automorphism_group(g: Graph) -> GroupDescription:
     if group.order != order:
         raise AssertionError("stabilizer chain order disagrees with the search's orbit sizes")
     return group
-
-
-def is_vertex_transitive(g: Graph) -> bool:
-    if g.n == 0:
-        raise ValueError("vertex-transitivity of the null graph is undefined")
-    return automorphism_group(g).is_transitive()
 
 
 def has_regular_subgroup(group: GroupDescription) -> list[tuple[int, ...]] | None:
@@ -873,21 +866,3 @@ def has_regular_subgroup(group: GroupDescription) -> list[tuple[int, ...]] | Non
 
     return search({0: tuple(range(n))})
 
-
-def wreath_map(g1: Graph, g2: Graph, phi, betas) -> tuple[int, ...]:
-    """Assemble (v1, v2) -> (phi(v1), betas[v1](v2)) on the lexicographic
-    product, verifying it is a homomorphism of the product.
-
-    ``phi`` is an image array on g1, ``betas`` one image array on g2 per
-    g1-vertex.  Vertex (a, b) of the product has index a*|V(g2)| + b.
-    """
-    n1, n2 = g1.n, g2.n
-    phi = list(phi)
-    betas = [list(b) for b in betas]
-    if len(phi) != n1 or len(betas) != n1 or any(len(b) != n2 for b in betas):
-        raise ValueError("dimension mismatch")
-    image = tuple(phi[a] * n2 + betas[a][b] for a in range(n1) for b in range(n2))
-    product = lexicographic_product(g1, g2)
-    if not is_homomorphism(product, product, image):
-        raise ValueError("assembled map is not a homomorphism of the product")
-    return image

@@ -111,28 +111,11 @@ def reconstruct_from_match(match: FamilyMatch) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def special_automorphism(g: Graph) -> tuple[int, ...]:
-    """The side-mixing prism automorphism s of a family graph.
-
-    For the pendant-pair family ("C5" kind) s fixes both copies of every
-    inner vertex as well as (y,1) and (z,1), and permutes the remaining
-    outer copies in two 3-cycles; for the apex-pair family ("A" kind) it
-    fixes (v,1) and (u,1) instead.  Raises ValueError when g is not in
-    either family, AssertionError if the table fails verification (which
-    would falsify the structure theorem).
-    """
-    matches = detect_family(g)
-    if not matches:
-        raise ValueError("graph is not in either family")
-    perm = _special_map(g, matches[0])
-    prism = complementary_prism(g)
-    if not is_isomorphism_map(prism, prism, perm):
-        raise AssertionError("special map failed automorphism verification")
-    return perm
-
-
 def _special_map(g: Graph, match: FamilyMatch) -> tuple[int, ...]:
-    """The table of s, unverified; callers check it against the prism."""
+    """The table of the side-mixing prism automorphism s, unverified;
+    callers check it against the prism.  s fixes both copies of each inner
+    vertex, and (y,1), (z,1) for the "C5" kind or (v,1), (u,1) for the "A"
+    kind, and swaps the other six outer copies in three transpositions."""
     n = g.n
     y, v, u, z = match.outer
     image = list(range(2 * n))

@@ -270,7 +270,7 @@ def srg_analysis(g: Graph) -> SrgAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Lovasz theta bounds and the self-complementary SRG inequality.
+# Lovasz theta bounds.
 # ---------------------------------------------------------------------------
 
 
@@ -289,32 +289,3 @@ def theta_bounds(g: Graph) -> tuple[float, float]:
     upper = g.n / (1.0 - k / lam_min)
     return upper, g.n / upper
 
-
-def thm_strg_inequality_check(n: int) -> bool:
-    """Whether n + 1 <= (sqrt(n) - 1)(sqrt(n + 4) + 1) FAILS at n.
-
-    This inequality failing for every n = 1 (mod 4) is what forces the
-    contradiction in the classification of self-complementary strongly
-    regular prism bases, so the expected return value is always True.
-    Evaluation is exact: both sides are compared through integer square
-    root enclosures, with the precision escalated if the enclosure cannot
-    decide (it always can well before 10**30 for these gaps).
-    """
-    if n <= 1 or n % 4 != 1:
-        raise ValueError("n must be congruent to 1 mod 4 and larger than 1")
-    scale = 10**9
-    while scale < 10**30:
-        m2 = scale * scale
-        s_lo = math.isqrt(n * m2)
-        s_up = s_lo if s_lo * s_lo == n * m2 else s_lo + 1
-        t_lo = math.isqrt((n + 4) * m2)
-        t_up = t_lo if t_lo * t_lo == (n + 4) * m2 else t_lo + 1
-        lhs = (n + 1) * m2
-        rhs_hi = (s_up - scale) * (t_up + scale)
-        rhs_lo = (s_lo - scale) * (t_lo + scale)
-        if lhs > rhs_hi:
-            return True  # inequality certainly fails
-        if lhs <= rhs_lo:
-            return False  # inequality certainly holds
-        scale *= 1000
-    raise ArithmeticError(f"square-root enclosure could not separate the sides at n={n}")

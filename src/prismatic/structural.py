@@ -18,14 +18,7 @@ from itertools import combinations
 
 from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
-from .morphisms import (
-    SearchBudget,
-    find_homomorphism,
-    is_self_complementary,
-    is_vertex_transitive,
-    max_clique,
-)
-from .spectral import numeric_spectrum, srg_analysis
+from .morphisms import SearchBudget, find_homomorphism, max_clique
 
 # numpy is imported inside cheeger_brute_force, its one user, so a command
 # that never reaches it starts without paying for the import.
@@ -623,137 +616,6 @@ def prism_ham_constructions(g: Graph, budget: SearchBudget | None = None) -> Pri
     else:
         notes.append("all-pairs construction needs at least three vertices")
     return PrismHamReport(p8_path=p8, ham_connected=ham_connected, notes=tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# Inequality checks tying invariants together.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    dam: dict | None
-    chvatal_erdos: dict
-    clique_coclique: dict | str
-    preimage: dict | str
-
-
-def bound_checks(g: Graph) -> BoundCheckReport:
-    """Evaluate the connectivity/independence/clique inequalities on g.
-
-    - kappa + kappa(complement) >= min(delta, delta(complement)) + 1 when
-      both are connected;
-    - the alpha < kappa Hamiltonian-connectedness premise;
-    - alpha * omega <= n, applied only when vertex-transitivity or
-      1-walk-regularity has been verified;
-    - when a homomorphism onto K_omega exists (chi == omega) and the
-      clique-coclique bound is tight, every color class must have exactly
-      alpha vertices.
-    """
-    n = g.n
-    comp = g.complement()
-    inv = invariants(g)
-    alpha, omega = inv.alpha, inv.omega
-
-    dam = None
-    if n and g.is_connected() and comp.is_connected():
-        kappa = inv.kappa
-        kappa_c, _ = vertex_connectivity(comp)
-        delta = min(g.degrees())
-        delta_c = min(comp.degrees())
-        dam = {
-            "kappa": kappa,
-            "kappa_complement": kappa_c,
-            "min_degree": min(delta, delta_c),
-            "holds": kappa + kappa_c >= min(delta, delta_c) + 1,
-        }
-
-    chvatal = {
-        "alpha": alpha,
-        "kappa": inv.kappa,
-        "premise_alpha_lt_kappa": alpha < inv.kappa,
-    }
-
-    vt = n > 0 and is_vertex_transitive(g)
-    one_wr = n > 0 and srg_analysis(g).one_walk_regular
-    if vt or one_wr:
-        clique_coclique = {
-            "alpha": alpha,
-            "omega": omega,
-            "n": n,
-            "holds": alpha * omega <= n,
-            "regularity": "vertex_transitive" if vt else "one_walk_regular",
-        }
-    else:
-        clique_coclique = "not applicable"
-
-    chi, coloring = inv.chi, inv.witnesses["coloring"]
-    if (vt or one_wr) and inv.exact and chi == omega and n:
-        sizes = [coloring.count(c) for c in range(1, chi + 1)]
-        preimage = {
-            "alpha_times_omega_equals_n": alpha * omega == n,
-            "fiber_sizes": tuple(sizes),
-            "all_fibers_alpha": all(s == alpha for s in sizes),
-        }
-    else:
-        preimage = "not applicable"
-    return BoundCheckReport(
-        dam=dam,
-        chvatal_erdos=chvatal,
-        clique_coclique=clique_coclique,
-        preimage=preimage,
-    )
-
-
-@dataclass(frozen=True)
-class EigenvalueBoundReport:
-    lambda2: float
-    interlacing_bound: float | None
-    interlacing_holds: bool | None
-    open_threshold: float
-    exceeds_open_threshold: bool
-    pairing_max_error: float
-    notes: tuple[str, ...]
-
-
-def eigenvalue_bound_checks(g: Graph) -> EigenvalueBoundReport:
-    """Eigenvalue bounds specific to regular self-complementary graphs.
-
-    Checks that the spectrum pairs as {l, -1 - l} (so li = -1 - l_{n-i+2}
-    for i >= 2), evaluates the interlacing bound
-    l2 <= (n - 7)/2 - 2cos(pi (n-1)/n) when a Hamiltonian cycle is found
-    (skipped with a notice otherwise), and reports where l2 sits relative
-    to the open threshold (sqrt(n(n-4)) - 1)/2.
-    """
-    n = g.n
-    if n == 0 or not g.is_regular():
-        raise ValueError("requires a nonempty regular graph")
-    if not is_self_complementary(g):
-        raise ValueError("requires a self-complementary graph")
-    eigs = numeric_spectrum(g).eigenvalues
-    lam2 = eigs[1]
-    pairing_err = 0.0
-    for i in range(1, n):  # eigs[i] pairs with eigs[n - i]
-        pairing_err = max(pairing_err, abs(eigs[i] + 1 + eigs[n - i]))
-    notes: list[str] = []
-    cycle = hamiltonian(g, "cycle")
-    if cycle is None:
-        bound = None
-        holds = None
-        notes.append("no Hamiltonian cycle found; interlacing bound skipped")
-    else:
-        bound = (n - 7) / 2 - 2 * math.cos(math.pi * (n - 1) / n)
-        holds = lam2 <= bound + 1e-9
-    threshold = (math.sqrt(n * (n - 4)) - 1) / 2
-    return EigenvalueBoundReport(
-        lambda2=lam2,
-        interlacing_bound=bound,
-        interlacing_holds=holds,
-        open_threshold=threshold,
-        exceeds_open_threshold=lam2 > threshold + 1e-9,
-        pairing_max_error=pairing_err,
-        notes=tuple(notes),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from prismatic.morphisms import (
     is_isomorphism_map,
     is_self_complementary,
     verify_retraction,
-    wreath_map,
 )
 from prismatic.prisms import (
     classify_core_case,
@@ -61,7 +60,6 @@ from prismatic.spectral import (
     prism_spectrum_closed_form,
     srg_analysis,
     theta_bounds,
-    thm_strg_inequality_check,
 )
 from prismatic.structural import (
     cheeger_brute_force,
@@ -280,12 +278,17 @@ def test_criterion_08_transitivity_and_cayleyness(capsys):
             assert brute is expected, name
         # f9_1 is isomorphic to paley9, so its prism is vertex-transitive too
         assert prism_predicates(structured_prism_aut(figure_f9(1))).vertex_transitive is True
-        # [PAPER] prisms of the pentagon and the path are not Cayley graphs:
-        # no subgroup of the automorphism group acts regularly
-        for g in (cycle_graph(5), path_graph(4)):
+        # [PAPER] prisms of the pentagon, the path and Paley graphs are not
+        # Cayley graphs: no subgroup of the automorphism group acts regularly
+        for g in (cycle_graph(5), path_graph(4), paley_graph(9), paley_graph(13), paley_graph(17)):
             prism = complementary_prism(g)
             grp = automorphism_group(prism)
             assert has_regular_subgroup(grp) is None
+            # [DERIVED] the exhaustive search agrees with prism_predicates
+            assert prism_predicates(structured_prism_aut(g)).is_cayley is False
+            if g.is_regular():
+                # [TRIVIAL] control: the Paley bases, C5 = Paley(5) included, are Cayley graphs
+                assert has_regular_subgroup(automorphism_group(g)) is not None
 
 
 def test_criterion_09_hamiltonian_constructions(capsys):
@@ -344,9 +347,13 @@ def test_criterion_11_theta_and_inequality(capsys):
         assert abs(upper - math.sqrt(5)) < 1e-9
         assert abs(lower - math.sqrt(5)) < 1e-9
         # [PAPER] the inequality n + 1 <= (sqrt(n)-1)(sqrt(n+4)+1) fails for
-        # every candidate order, killing self-complementary srg prism bases
+        # every candidate order, killing self-complementary srg prism bases;
+        # exact, as m sqrt(k) < isqrt(k m^2) + 1 bounds the right side above
+        m = 10**12
         for n in (5, 9, 13, 17, 25, 10**6 + 1):
-            assert thm_strg_inequality_check(n) is True
+            s = math.isqrt(n * m * m) + 1
+            t = math.isqrt((n + 4) * m * m) + 1
+            assert (n + 1) * m * m > (s - m) * (t + m)
 
 
 def test_criterion_12_lexicographic_products(capsys):
@@ -359,7 +366,8 @@ def test_criterion_12_lexicographic_products(capsys):
                 betas = [
                     [mask >> a & 1, 1 - (mask >> a & 1)] for a in range(5)
                 ]
-                wm = wreath_map(c5, k2, phi, betas)
+                # (a, b) -> (phi(a), beta_a(b)); vertex (a, b) is a * 2 + b
+                wm = tuple(phi[a] * 2 + betas[a][b] for a in range(5) for b in range(2))
                 assert is_isomorphism_map(product, product, wm)
                 images.add(wm)
         # [PAPER] wreath-style maps give |Aut(C5)| * 2^5 = 320 automorphisms

@@ -41,12 +41,10 @@ from prismatic.morphisms import (
     is_homomorphism,
     is_isomorphism_map,
     is_self_complementary,
-    is_vertex_transitive,
     max_clique,
     orbits_of,
     same_group,
     verify_retraction,
-    wreath_map,
 )
 from prismatic.morphisms import (
     _branch_vertex,
@@ -58,7 +56,7 @@ from prismatic.morphisms import (
     _stabiliser_generators,
     _stabilized_retraction,
 )
-from prismatic.prisms import special_automorphism, structured_prism_aut
+from prismatic.prisms import _special_map, detect_family, structured_prism_aut
 
 # -- permutations as image tuples ---------------------------------------------
 
@@ -97,13 +95,14 @@ def test_every_returned_map_is_a_plain_tuple_of_ints():
     c5, c6, p4, pet = cycle_graph(5), cycle_graph(6), path_graph(4), petersen_graph()
     null = empty_graph(0)
     group = automorphism_group(c5)
+    family = family_graph(FamilySpec("C5", p4))
     maps = {
         "find_isomorphisms": find_isomorphisms(c5, c5) + find_isomorphisms(null, null),
         "find_antimorphisms": find_antimorphisms(p4),
         "automorphism_generators": automorphism_generators(pet)[0],
         "generators": list(group.generators),
         "elements": list(group.elements),
-        "special_automorphism": [special_automorphism(family_graph(FamilySpec("C5", p4)))],
+        "_special_map": [_special_map(family, detect_family(family)[0])],
         "has_regular_subgroup": has_regular_subgroup(automorphism_group(c6)),
         "find_homomorphism": [find_homomorphism(c5, complete_graph(3)), find_homomorphism(null, p4)],
         "retraction": [compute_core(c6).retraction, compute_core(null).retraction],
@@ -641,8 +640,8 @@ def reference_extend(adj1, adj2, cand, assigned, img, limit, results):
     if assigned == (1 << len(cand)) - 1:
         results.append(tuple(img))
         return limit is not None and len(results) >= limit
-    v, count = _branch_vertex(cand, assigned)
-    if count == 0:
+    v = _branch_vertex(cand, assigned)
+    if cand[v].bit_count() == 0:
         return False
     for u in bits(cand[v]):
         nxt = reference_assign(adj1, adj2, cand, assigned, v, u)
@@ -673,7 +672,7 @@ def reference_automorphism_generators(g):
     path = []
     assigned = 0
     while assigned != (1 << n) - 1:
-        v = _branch_vertex(cand, assigned)[0]
+        v = _branch_vertex(cand, assigned)
         path.append((cand, assigned, v))
         cand = reference_assign(adj, adj, cand, assigned, v, v)
         assigned |= 1 << v
@@ -712,8 +711,11 @@ def test_isomorphism_searches_match_the_image_list_reference():
 def test_branch_vertex_handles_candidate_sets_wider_than_the_source():
     # a homomorphism source of two vertices into a ten-vertex target
     wide = (1 << 10) - 1
-    assert _branch_vertex([wide, wide >> 1], 0) == (1, 9)
-    assert _branch_vertex([wide, wide >> 1], 0b10) == (0, 10)
+    cand = [wide, wide >> 1]
+    v = _branch_vertex(cand, 0)
+    assert (v, cand[v].bit_count()) == (1, 9)
+    v = _branch_vertex(cand, 0b10)
+    assert (v, cand[v].bit_count()) == (0, 10)
 
 
 def test_search_budget_counts_nodes_without_a_limit():
@@ -791,7 +793,7 @@ def test_core_of_vertex_transitive_graph_is_vertex_transitive():
     for g in (cycle_graph(4), cycle_graph(6), cycle_graph(5), complete_graph(5), paley_graph(9)):
         rep = compute_core(g)
         core = g.induced(rep.core_vertices)
-        assert is_vertex_transitive(core)
+        assert automorphism_group(core).is_transitive()
 
 
 def test_core_of_connected_graph_is_connected():
@@ -974,11 +976,9 @@ def test_orbits_of_path():
 
 
 def test_vertex_transitivity():
-    assert is_vertex_transitive(cycle_graph(5))
-    assert is_vertex_transitive(petersen_graph())
-    assert not is_vertex_transitive(path_graph(4))
-    with pytest.raises(ValueError):
-        is_vertex_transitive(empty_graph(0))
+    assert automorphism_group(cycle_graph(5)).is_transitive()
+    assert automorphism_group(petersen_graph()).is_transitive()
+    assert not automorphism_group(path_graph(4)).is_transitive()
 
 
 class CapExceeded(Exception):
@@ -1171,16 +1171,9 @@ def test_wreath_map_counts_automorphisms_of_small_product():
     for phi in find_isomorphisms(p3, p3):
         for mask in range(2 ** 3):
             betas = [[mask >> a & 1, 1 - (mask >> a & 1)] for a in range(3)]
-            wm = wreath_map(p3, k2, phi, betas)
+            # (a, b) -> (phi(a), beta_a(b)); vertex (a, b) of p3[k2] is a * 2 + b
+            wm = tuple(phi[a] * 2 + betas[a][b] for a in range(3) for b in range(2))
             assert is_isomorphism_map(product, product, wm)
             images.add(wm)
     assert len(images) == 2 * 2 ** 3
     assert len(find_isomorphisms(product, product)) == 16
-
-
-def test_wreath_map_rejects_bad_assembly():
-    p3, k2 = path_graph(3), complete_graph(2)
-    with pytest.raises(ValueError):
-        wreath_map(p3, k2, [0, 0, 0], [[0, 1]] * 3)
-    with pytest.raises(ValueError):
-        wreath_map(p3, k2, [0, 1], [[0, 1]] * 3)

@@ -36,7 +36,6 @@ from prismatic.prisms import (
     prism_predicates,
     ratio_class,
     reconstruct_from_match,
-    special_automorphism,
     structured_prism_aut,
 )
 
@@ -219,7 +218,7 @@ def test_special_automorphism_is_verified_involution(kind, idx):
     inner = INNER_SAMPLES[idx]
     g = family_graph(FamilySpec(kind, inner))
     prism = complementary_prism(g)
-    s = special_automorphism(g)
+    s = prisms._special_map(g, detect_family(g)[0])
     assert is_isomorphism_map(prism, prism, s)
     assert _order(s) == 2
     # it swaps sides somewhere but not everywhere
@@ -231,7 +230,7 @@ def test_special_automorphism_is_verified_involution(kind, idx):
 @pytest.mark.parametrize("kind", ["C5", "A"])
 def test_structured_group_verifies_each_generator_once(kind, monkeypatch):
     g = family_graph(FamilySpec(kind, path_graph(3)))
-    s = special_automorphism(g)
+    s = prisms._special_map(g, detect_family(g)[0])
     checked, prisms_built = [], []
 
     def counting_check(g1, g2, image):
@@ -249,11 +248,6 @@ def test_structured_group_verifies_each_generator_once(kind, monkeypatch):
     assert s in checked
     assert set(structure.group.generators) <= set(checked)
     assert len(prisms_built) == 1
-
-
-def test_special_automorphism_rejects_non_family():
-    with pytest.raises(ValueError):
-        special_automorphism(cycle_graph(4))
 
 
 # -- structured prism group vs brute force ------------------------------------

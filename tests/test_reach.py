@@ -4,8 +4,8 @@ A public module-level function or class, or a public method of a public
 class, counts as reached when something other than its own definition names
 it: code anywhere in ``src/prismatic`` (the package root defines nothing but
 its docstring, so every name is imported from its module), a bench script,
-or README.md, whose Library section lists the API that nothing in the
-repository calls.  In ``src/prismatic`` a method is reached only through an
+or README.md, whose Library section names the API that only the tests
+call.  In ``src/prismatic`` a method is reached only through an
 attribute access ``.name``, so a local variable that shares its name does
 not count.
 """

@@ -22,9 +22,9 @@ from prismatic.spectral import (
     srg_analysis,
     srg_params,
     theta_bounds,
-    thm_strg_inequality_check,
 )
-from prismatic.structural import eigenvalue_bound_checks
+from prismatic.morphisms import is_self_complementary
+from prismatic.structural import hamiltonian
 
 GOLDEN = math.sqrt(5)
 
@@ -275,50 +275,60 @@ def test_theta_requires_regular():
 
 @pytest.mark.parametrize("n", [5, 9, 13, 17, 25, 10**6 + 1])
 def test_strg_inequality_fails_for_all_candidates(n):
-    assert thm_strg_inequality_check(n) is True
-
-
-def test_strg_inequality_input_validation():
-    for bad in (1, 4, 8, 12, 0, -3):
-        with pytest.raises(ValueError):
-            thm_strg_inequality_check(bad)
+    # n + 1 <= (sqrt(n) - 1)(sqrt(n + 4) + 1) fails, decided exactly: at scale
+    # m, isqrt(k m^2) + 1 > m sqrt(k), so (s - m)(t + m) bounds m^2 times the right side
+    m = 10**12
+    s = math.isqrt(n * m * m) + 1
+    t = math.isqrt((n + 4) * m * m) + 1
+    assert (n + 1) * m * m > (s - m) * (t + m)
 
 
 # -- eigenvalue bounds for regular self-complementary graphs ------------------------
 
 
+def paired_spectrum(g):
+    """The spectrum of a regular self-complementary g, checked to pair as
+    {l, -1 - l} below the degree: l_i + l_{n-i+2} = -1 for i >= 2."""
+    assert g.is_regular() and is_self_complementary(g)
+    eigs = numeric_spectrum(g).eigenvalues
+    assert all(abs(eigs[i] + 1 + eigs[g.n - i]) < 1e-9 for i in range(1, g.n))
+    return eigs
+
+
+def interlacing_bound(n):
+    """l2 <= (n - 7)/2 - 2 cos(pi (n - 1)/n), given a Hamiltonian cycle."""
+    return (n - 7) / 2 - 2 * math.cos(math.pi * (n - 1) / n)
+
+
+def open_threshold(n):
+    """(sqrt(n(n - 4)) - 1)/2, the open threshold on l2."""
+    return (math.sqrt(n * (n - 4)) - 1) / 2
+
+
 def test_eigenvalue_bounds_paley9():
-    report = eigenvalue_bound_checks(paley_graph(9))
-    assert report.pairing_max_error < 1e-9
-    assert report.interlacing_bound is not None
-    assert report.interlacing_holds is True
-    assert not report.exceeds_open_threshold
-    assert report.notes == ()
+    g = paley_graph(9)
+    lam2 = paired_spectrum(g)[1]
+    assert hamiltonian(g, "cycle") is not None
+    assert lam2 <= interlacing_bound(9) + 1e-9
+    assert lam2 <= open_threshold(9) + 1e-9
 
 
 def test_eigenvalue_bounds_pentagon_thresholds_coincide():
-    report = eigenvalue_bound_checks(cycle_graph(5))
+    lam2 = paired_spectrum(cycle_graph(5))[1]
+    assert hamiltonian(cycle_graph(5), "cycle") is not None
     # at n = 5 the interlacing bound and the open threshold are both (sqrt5-1)/2
-    assert report.interlacing_bound is not None
-    assert abs(report.interlacing_bound - report.open_threshold) < 1e-12
-    assert abs(report.lambda2 - report.open_threshold) < 1e-9
-    assert report.interlacing_holds is True
+    assert abs(interlacing_bound(5) - open_threshold(5)) < 1e-12
+    assert abs(lam2 - open_threshold(5)) < 1e-9
+    assert lam2 <= interlacing_bound(5) + 1e-9
 
 
 @pytest.mark.parametrize("i", [1, 2, 3, 4])
 def test_eigenvalue_bounds_f9(i):
-    report = eigenvalue_bound_checks(figure_f9(i))
-    assert report.pairing_max_error < 1e-9
-    assert report.interlacing_holds is True
+    g = figure_f9(i)
+    lam2 = paired_spectrum(g)[1]
+    assert hamiltonian(g, "cycle") is not None
+    assert lam2 <= interlacing_bound(9) + 1e-9
 
 
 def test_eigenvalue_bounds_f10():
-    report = eigenvalue_bound_checks(exa1_graph())
-    assert report.pairing_max_error < 1e-9
-
-
-def test_eigenvalue_bounds_require_regular_self_complementary():
-    with pytest.raises(ValueError):
-        eigenvalue_bound_checks(path_graph(4))  # regular fails first
-    with pytest.raises(ValueError):
-        eigenvalue_bound_checks(petersen_graph())  # not self-complementary
+    paired_spectrum(exa1_graph())

@@ -8,7 +8,8 @@ module-level ``import numpy`` anywhere on the CLI's import path fails the
 first check.
 
 The package root imports nothing, so importing one module loads only the
-package modules it imports itself: ``prismatic.graphs`` loads no other.
+package modules it imports itself: ``prismatic.graphs`` loads no other, and
+``prismatic.structural`` loads neither ``spectral`` nor ``prisms``.
 """
 
 import json
@@ -69,6 +70,17 @@ assert loaded == ["prismatic", "prismatic.graphs"], loaded
 """
 
 
+STRUCTURAL_ALONE = """
+import sys
+
+import prismatic.structural
+
+loaded = sorted(k for k in sys.modules if k.split(".")[0] == "prismatic")
+expected = ["families", "fields", "graphio", "graphs", "morphisms", "structural"]
+assert loaded == ["prismatic"] + ["prismatic." + m for m in expected], loaded
+"""
+
+
 def run_child(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -85,3 +97,7 @@ def test_numpy_loads_only_for_the_commands_that_use_it():
 
 def test_graphs_module_loads_no_other_package_module():
     run_child(GRAPHS_ALONE)
+
+
+def test_structural_module_loads_neither_spectral_nor_prisms():
+    run_child(STRUCTURAL_ALONE)

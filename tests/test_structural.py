@@ -29,14 +29,20 @@ from prismatic.graphs import (
     star_graph,
 )
 from prismatic import structural
-from prismatic.morphisms import BudgetExhausted, SearchBudget, find_homomorphism, max_clique
+from prismatic.morphisms import (
+    BudgetExhausted,
+    SearchBudget,
+    automorphism_group,
+    find_homomorphism,
+    max_clique,
+)
+from prismatic.spectral import srg_analysis
 from prismatic.structural import (
     CHEEGER_BRUTE_MAX_N,
     VERTEX_CONNECTIVITY_BRUTE_MAX_N,
     _check_ham_path,
     _edge_boundary,
     _report_for,
-    bound_checks,
     cheeger_brute_force,
     cheeger_closed_form,
     chromatic_number,
@@ -424,7 +430,7 @@ def _connectivity_cases():
 
     graphs = [gnp(rng.randint(2, 14)) for _ in range(160)]
     graphs += [complementary_prism(gnp(rng.randint(1, 7))) for _ in range(40)]
-    # the complements are the graphs bound_checks hands to vertex_connectivity
+    # the complements too: the kappa + kappa(complement) bound reads both
     graphs += [g.complement() for g in graphs]
     graphs += [complementary_prism(paley_graph(q)) for q in (5, 9, 13, 17)]
     graphs += [figure_f9(i) for i in range(1, 5)]
@@ -775,42 +781,53 @@ def test_prism_ham_unavailable_base():
     assert rep.notes
 
 
-# -- inequality reports --------------------------------------------------------------
+# -- inequalities tying the invariants together ---------------------------------
 
 
 def test_bound_checks_paley9():
-    rep = bound_checks(paley_graph(9))
-    assert rep.dam == {
-        "kappa": 4,
-        "kappa_complement": 4,
-        "min_degree": 4,
-        "holds": True,
-    }
-    assert rep.chvatal_erdos["premise_alpha_lt_kappa"] is True
-    assert rep.clique_coclique["holds"] is True
-    assert rep.clique_coclique["regularity"] == "vertex_transitive"
-    assert rep.preimage["fiber_sizes"] == (3, 3, 3)
-    assert rep.preimage["all_fibers_alpha"] is True
-    assert rep.preimage["alpha_times_omega_equals_n"] is True
+    g = paley_graph(9)
+    comp = g.complement()
+    inv = invariants(g)
+    assert g.is_connected() and comp.is_connected()
+    # kappa + kappa(complement) >= min degree + 1, here 4 + 4 >= 4 + 1
+    kappa_c, _ = vertex_connectivity(comp)
+    delta = min(g.degrees() + comp.degrees())
+    assert inv.kappa == kappa_c == delta == 4
+    # the alpha < kappa Hamiltonian-connectedness premise
+    assert inv.alpha < inv.kappa
+    # alpha * omega <= n on a vertex-transitive graph, tight here
+    assert automorphism_group(g).is_transitive()
+    assert inv.alpha * inv.omega == g.n
+    # chi == omega and the bound is tight, so every colour class has alpha vertices
+    assert inv.exact and inv.chi == inv.omega
+    coloring = inv.witnesses["coloring"]
+    sizes = tuple(coloring.count(c) for c in range(1, inv.chi + 1))
+    assert sizes == (3, 3, 3) == (inv.alpha,) * inv.chi
 
 
 def test_bound_checks_pentagon():
-    rep = bound_checks(cycle_graph(5))
-    assert rep.clique_coclique["holds"] is True  # 2 * 2 <= 5
-    # chi = 3 > omega = 2, so the preimage argument does not apply
-    assert rep.preimage == "not applicable"
+    g = cycle_graph(5)
+    inv = invariants(g)
+    assert automorphism_group(g).is_transitive()
+    assert inv.alpha * inv.omega <= g.n  # 2 * 2 <= 5
+    # chi = 3 > omega = 2, so the colour-class argument does not apply
+    assert inv.exact and (inv.chi, inv.omega) == (3, 2)
 
 
 def test_bound_checks_path_not_regular_enough():
-    rep = bound_checks(path_graph(4))
-    assert rep.clique_coclique == "not applicable"
-    assert rep.preimage == "not applicable"
+    # chi == omega, but neither premise of the alpha * omega <= n bound holds
+    g = path_graph(4)
+    inv = invariants(g)
+    assert inv.chi == inv.omega == 2
+    assert not automorphism_group(g).is_transitive()
+    assert not srg_analysis(g).one_walk_regular
 
 
 def test_bound_checks_disconnected_complement():
     # complete graphs have a disconnected complement: no connectivity bound
-    rep = bound_checks(complete_graph(4))
-    assert rep.dam is None
+    comp = complete_graph(4).complement()
+    assert not comp.is_connected()
+    assert vertex_connectivity(comp) == (0, ())
 
 
 def test_prism_chromatic_exceeds_clique():
