@@ -155,7 +155,8 @@ def cmd_graph6(args) -> dict | str:
     if args.command == "prism":
         with precondition():  # the null graph has no prism
             g = complementary_prism(g)
-    text = write_graph6(g)
+    with precondition():  # graph6 stops below 2^18 vertices
+        text = write_graph6(g)
     if not args.json:
         return text
     return {"command": args.command, "n": g.n, "edges": g.edge_count(), "graph6": text}

@@ -2,13 +2,14 @@
 
 Besides standard families (cycles, Paley graphs, Kneser graphs, ...) this
 module builds two families of graphs that share a four-vertex "outer" path
-y ~ v ~ u ~ z attached to an arbitrary inner graph on vertex set L:
+y ~ v ~ u ~ z attached to an arbitrary inner graph on vertex set L.  A kind
+is the pair of outer vertices joined to every inner vertex:
 
-* ``pendant_pair_graph`` (kind ``"C5"``): y and z are adjacent to every
-  inner vertex, so the outer path closes a pentagon through the inner part.
-  With a single inner vertex this is the pentagon C5.
-* ``apex_pair_graph`` (kind ``"A"``): v and u are adjacent to every inner
-  vertex, leaving y and z as pendants of degree one.
+* ``pendant_pair_graph`` (kind ``"C5"``): the pair (y, z), so the outer path
+  closes a pentagon through the inner part.  With a single inner vertex
+  this is the pentagon C5.
+* ``apex_pair_graph`` (kind ``"A"``): the pair (v, u), leaving y and z as
+  pendants of degree one.
 
 Both families use the layout: inner vertices at indices 0..L-1 (in the order
 of the inner graph), then y, v, u, z at the last four indices.
@@ -41,47 +42,32 @@ from .graphs import (
     star_graph,
 )
 
-FAMILY_KINDS = ("C5", "A")
+# A kind is the pair of the outer path (y, v, u, z) joined to every inner
+# vertex, by position: (y, z) for "C5" and (v, u) for "A".
+JOINED_PAIR = {"C5": (0, 3), "A": (1, 2)}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family member: ``kind`` is "C5" or "A", ``inner`` the graph on L."""
+def family_graph(kind: str, inner: Graph) -> Graph:
+    """The member of family ``kind`` over ``inner``.
 
-    kind: str
-    inner: Graph
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-
-def family_graph(spec: FamilySpec) -> Graph:
-    """Build the family member described by ``spec``.
-
-    Vertices 0..L-1 carry the inner graph; y, v, u, z sit at indices
-    L, L+1, L+2, L+3.
+    Vertices 0..L-1 carry the inner graph; the path y, v, u, z sits at
+    indices L, L+1, L+2, L+3, and its pair ``JOINED_PAIR[kind]`` is joined
+    to every inner vertex.
     """
-    inner = spec.inner
+    if kind not in JOINED_PAIR:
+        raise ValueError(f"unknown family kind {kind!r}")
     L = inner.n
-    y, v, u, z = L, L + 1, L + 2, L + 3
-    edges = list(inner.edges())
-    edges += [(y, v), (v, u), (u, z)]
-    if spec.kind == "C5":
-        edges += [(y, g) for g in range(L)]
-        edges += [(z, g) for g in range(L)]
-    else:
-        edges += [(v, g) for g in range(L)]
-        edges += [(u, g) for g in range(L)]
+    edges = list(inner.edges()) + [(L, L + 1), (L + 1, L + 2), (L + 2, L + 3)]
+    edges += [(L + i, x) for i in JOINED_PAIR[kind] for x in range(L)]
     return build_graph(L + 4, edges)
 
 
 def pendant_pair_graph(inner: Graph) -> Graph:
-    return family_graph(FamilySpec("C5", inner))
+    return family_graph("C5", inner)
 
 
 def apex_pair_graph(inner: Graph) -> Graph:
-    return family_graph(FamilySpec("A", inner))
+    return family_graph("A", inner)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +354,20 @@ def mysterious505_prism_retraction(layout: Mysterious505) -> list[int]:
 # Name-based dispatcher (used by the command line interface).
 # ---------------------------------------------------------------------------
 
-_NAMED_SIMPLE = {
-    "petersen": petersen_graph,
-    "exa1": exa1_graph,
-    "cay_f49xf4": cay_f49xf4,
-    "mysterious505": lambda: mysterious505().graph,
+# name -> (constructor, number of integer arguments)
+NAMED_GRAPHS = {
+    "cycle": (cycle_graph, 1),
+    "path": (path_graph, 1),
+    "complete": (complete_graph, 1),
+    "empty": (empty_graph, 1),
+    "star": (star_graph, 1),
+    "paley": (paley_graph, 1),
+    "kneser": (kneser_graph, 2),
+    "petersen": (petersen_graph, 0),
+    "figure_f9": (figure_f9, 1),
+    "exa1": (exa1_graph, 0),
+    "cay_f49xf4": (cay_f49xf4, 0),
+    "mysterious505": (lambda: mysterious505().graph, 0),
 }
 
 
@@ -381,30 +376,9 @@ def named_graph(spec: str) -> Graph:
     ``kneser:10:4``, ``figure_f9:2``, ``petersen`` or ``mysterious505``."""
     parts = spec.strip().split(":")
     head, args = parts[0].lower(), parts[1:]
-
-    def arity(k: int):
-        if len(args) != k:
-            raise ValueError(f"{head!r} expects {k} argument(s), got {len(args)}")
-        return [int(a) for a in args]
-
-    if head in _NAMED_SIMPLE:
-        arity(0)
-        return _NAMED_SIMPLE[head]()
-    if head == "cycle":
-        return cycle_graph(*arity(1))
-    if head == "path":
-        return path_graph(*arity(1))
-    if head == "complete":
-        return complete_graph(*arity(1))
-    if head == "empty":
-        return empty_graph(*arity(1))
-    if head == "star":
-        return star_graph(*arity(1))
-    if head == "paley":
-        return paley_graph(*arity(1))
-    if head == "kneser":
-        n, r = arity(2)
-        return kneser_graph(n, r)
-    if head == "figure_f9":
-        return figure_f9(*arity(1))
-    raise ValueError(f"unknown graph name {spec!r}")
+    if head not in NAMED_GRAPHS:
+        raise ValueError(f"unknown graph name {spec!r}")
+    build, k = NAMED_GRAPHS[head]
+    if len(args) != k:
+        raise ValueError(f"{head!r} expects {k} argument(s), got {len(args)}")
+    return build(*[int(a) for a in args])

@@ -42,10 +42,7 @@ def _decode_size(data: bytes) -> tuple[int, int]:
             if not 63 <= c <= 126:
                 raise ValueError("non-printable byte %d in graph6 size" % c)
             vals.append(c - 63)
-        n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
-        if n >= _MAX_N:
-            raise ValueError("graph6 size %d out of supported range" % n)
-        return n, 4
+        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
     if not 63 <= b <= 125:
         raise ValueError("invalid graph6 leading byte %d" % b)
     return b - 63, 1
@@ -54,7 +51,9 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 def write_graph6(g: Graph) -> str:
     # By symmetry, column c of the upper triangle is the low c bits of row c,
     # emitted from row 0 up.  base64 packs a bit stream into 6-bit groups,
-    # high bit first, exactly as graph6 does; only the alphabet differs.
+    # high bit first, exactly as graph6 does; only the alphabet differs.  The
+    # prefix comes first, so an unsupported size fails before the stream.
+    prefix = _encode_size(g.n)
     stream = "".join(
         format(row & ((1 << c) - 1), "0%db" % c)[::-1] for c, row in enumerate(g.adj) if c
     )
@@ -62,7 +61,7 @@ def write_graph6(g: Graph) -> str:
     stream += "0" * (-len(stream) % 24)
     packed = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
     body = binascii.b2a_base64(packed, newline=False).translate(_B64_TO_G6)[:nchars]
-    return (_encode_size(g.n) + body).decode("ascii")
+    return (prefix + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -153,32 +153,26 @@ class Graph:
         full = (1 << self.n) - 1
         return self.component_mask(0, full) == full
 
-    def bfs_distances(self, start: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[start] = 0
-        frontier = 1 << start
-        seen = frontier
-        d = 0
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-            for v in bits(frontier):
-                dist[v] = d
-        return dist
-
     def diameter(self) -> int:
-        """Longest shortest path; raises on disconnected input."""
+        """Longest shortest path, the most breadth-first layers any vertex
+        needs to see the whole graph; raises on disconnected input."""
         if self.n == 0:
             raise ValueError("diameter of the null graph is undefined")
         if not self.is_connected():
             raise ValueError("graph is disconnected")
+        full = (1 << self.n) - 1
         best = 0
-        for v in range(self.n):
-            best = max(best, max(self.bfs_distances(v)))
+        for start in range(self.n):
+            seen = frontier = 1 << start
+            layers = 0
+            while seen != full:
+                nxt = 0
+                for v in bits(frontier):
+                    nxt |= self.adj[v]
+                frontier = nxt & ~seen
+                seen |= frontier
+                layers += 1
+            best = max(best, layers)
         return best
 
 

@@ -41,23 +41,20 @@ class BudgetExhausted(Exception):
 class SearchBudget:
     """A counter of search nodes with an optional limit.
 
-    ``nodes`` counts every node spent; ``remaining`` is the nodes left
-    before BudgetExhausted, or ``None`` for no limit.
+    ``nodes`` counts every node spent; once it passes ``limit`` the search
+    raises BudgetExhausted.  ``limit`` is ``None`` for no limit.
     """
 
-    __slots__ = ("remaining", "nodes")
+    __slots__ = ("limit", "nodes")
 
     def __init__(self, limit: int | None = None):
-        self.remaining = limit
+        self.limit = limit
         self.nodes = 0
 
     def spend(self) -> None:
         """Count one node; BudgetExhausted once the limit is passed."""
         self.nodes += 1
-        if self.remaining is None:
-            return
-        self.remaining -= 1
-        if self.remaining < 0:
+        if self.limit is not None and self.nodes > self.limit:
             raise BudgetExhausted("search budget exhausted")
 
 

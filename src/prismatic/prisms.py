@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .families import FamilySpec, family_graph
+from .families import JOINED_PAIR, family_graph
 from .graphs import Graph, bits, complementary_prism, prism_index
 from .morphisms import (
     GroupDescription,
@@ -102,7 +102,7 @@ def reconstruct_from_match(match: FamilyMatch) -> Graph:
     """Rebuild the matched graph on its own labels: ``family_graph``
     relabelled, inner vertex i to ``inner_vertices[i]`` and y, v, u, z to
     ``outer``."""
-    member = family_graph(FamilySpec(match.kind, match.inner))
+    member = family_graph(match.kind, match.inner)
     return member.relabel(match.inner_vertices + match.outer)
 
 
@@ -113,31 +113,18 @@ def reconstruct_from_match(match: FamilyMatch) -> Graph:
 
 def _special_map(g: Graph, match: FamilyMatch) -> tuple[int, ...]:
     """The table of the side-mixing prism automorphism s, unverified;
-    callers check it against the prism.  s fixes both copies of each inner
-    vertex, and (y,1), (z,1) for the "C5" kind or (v,1), (u,1) for the "A"
-    kind, and swaps the other six outer copies in three transpositions."""
+    callers check it against the prism.  With a, b the outer pair that the
+    kind joins to every inner vertex (``JOINED_PAIR``) and c, d the path
+    neighbours of a, b outside the pair, s is (c,1)(a,2) (d,1)(b,2)
+    (c,2)(d,2), where (x,1) is x and (x,2) is n + x; it fixes every other
+    prism vertex."""
     n = g.n
-    y, v, u, z = match.outer
+    pair = JOINED_PAIR[match.kind]
+    a, b = (match.outer[i] for i in pair)
+    c, d = (x for i, x in enumerate(match.outer) if i not in pair)
     image = list(range(2 * n))
-
-    def setmap(src_base, src_side, dst_base, dst_side):
-        image[prism_index(src_base, src_side, n)] = prism_index(dst_base, dst_side, n)
-
-    if match.kind == "C5":
-        setmap(v, 1, y, 2)
-        setmap(u, 1, z, 2)
-        setmap(y, 2, v, 1)
-        setmap(v, 2, u, 2)
-        setmap(u, 2, v, 2)
-        setmap(z, 2, u, 1)
-    else:
-        setmap(y, 1, v, 2)
-        setmap(z, 1, u, 2)
-        setmap(y, 2, z, 2)
-        setmap(v, 2, y, 1)
-        setmap(u, 2, z, 1)
-        setmap(z, 2, y, 2)
-
+    for p, q in ((c, n + a), (d, n + b), (n + c, n + d)):
+        image[p], image[q] = q, p
     return tuple(image)
 
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from prismatic.families import FamilySpec, family_graph, named_graph
+from prismatic.families import family_graph, named_graph
 from prismatic.graphio import parse_graph6, write_graph6
 from prismatic.graphs import (
     Graph,
@@ -57,7 +57,7 @@ def bases():
     rng = random.Random(1201)
     graphs = [named_graph(spec) for spec in NAMED]
     graphs += [random_graph(rng, n, d) for n in (0, 1, 2, 7, 12, 30) for d in (0.0, 0.3, 0.7, 1.0)]
-    graphs += [family_graph(FamilySpec(kind, named_graph("cycle:5"))) for kind in ("C5", "A")]
+    graphs += [family_graph(kind, named_graph("cycle:5")) for kind in ("C5", "A")]
     return graphs
 
 

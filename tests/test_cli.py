@@ -15,7 +15,7 @@ import pytest
 import prismatic
 from prismatic import cli
 from prismatic.cli import main
-from prismatic.families import paley_graph
+from prismatic.families import NAMED_GRAPHS, paley_graph
 from prismatic.graphio import parse_graph6, write_graph6
 from prismatic.graphs import build_graph, complementary_prism, cycle_graph
 
@@ -58,6 +58,11 @@ def readme_name_grammar() -> list[str]:
 def test_construct_accepts_every_readme_name(capsys, name):
     report = run_json(capsys, ["construct", "--name", name, "--json"])
     assert report["n"] > 0
+
+
+def test_readme_documents_every_named_graph():
+    heads = {name.split(":")[0] for name in readme_name_grammar()}
+    assert set(NAMED_GRAPHS) <= heads
 
 
 def test_prism_command_builds_prism(capsys):
@@ -442,6 +447,25 @@ def test_cheeger_brute_force_too_large_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cheeger_brute_force", lambda g: brute(cycle_graph(6)))  # h = 2/3
     with pytest.raises(AssertionError):
         main(["cheeger", "--name", "cycle:5", "--prism"])
+
+
+@pytest.mark.parametrize("name", ["cycle:2", "kneser:4:2"])
+def test_construct_outside_a_constructor_range_exits_2(capsys, name):
+    assert_input_error(capsys, ["construct", "--name", name])
+
+
+def test_graph_too_large_for_graph6_exits_2_before_encoding(capsys):
+    # n(n-1)/2 bits would be about 34 GB of stream; the prefix check comes first
+    err = assert_input_error(capsys, ["construct", "--name", "empty:262144"])
+    assert "out of supported range" in err
+
+
+def test_closed_output_pipe_exits_0(capsys, monkeypatch):
+    def closed(report):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "emit", closed)
+    assert main(["construct", "--name", "cycle:5", "--json"]) == 0
 
 
 def test_theta_of_non_regular_graph_exits_2(capsys):

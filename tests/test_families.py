@@ -4,7 +4,6 @@ import itertools
 import pytest
 
 from prismatic.families import (
-    FamilySpec,
     apex_pair_graph,
     cay_f49xf4,
     colex_subsets,
@@ -72,7 +71,7 @@ def test_apex_pair_degrees(inner):
 
 def test_family_outer_path():
     for kind in ("C5", "A"):
-        g = family_graph(FamilySpec(kind, path_graph(3)))
+        g = family_graph(kind, path_graph(3))
         y, v, u, z = range(3, 7)  # after the three inner vertices
         assert g.has_edge(y, v) and g.has_edge(v, u) and g.has_edge(u, z)
         assert not g.has_edge(y, z) and not g.has_edge(y, u) and not g.has_edge(v, z)
@@ -90,7 +89,7 @@ def test_single_vertex_pendant_inner_gives_pentagon():
 
 def test_unknown_family_kind():
     with pytest.raises(ValueError):
-        FamilySpec("B", empty_graph(1))
+        family_graph("B", empty_graph(1))
 
 
 # -- Paley graphs -------------------------------------------------------------

@@ -121,6 +121,15 @@ def test_reducible_modulus_is_rejected():
         FieldSpec(2, 3, (0, 1, 1, 1))  # x^3 + x^2 + x = x(x^2 + x + 1)
 
 
+def test_non_prime_characteristic_and_non_monic_modulus_are_rejected():
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec(4, 1, (0, 1))
+    with pytest.raises(ValueError, match="monic"):
+        FieldSpec(3, 2, (1, 0, 2))  # 2x^2 + 1
+    with pytest.raises(ValueError, match="monic"):
+        FieldSpec(3, 2, (1, 1))  # degree 1, not 2
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 13, 25, 49])
 def test_field_axioms_exhaustive(q):
     f = get_field(q)

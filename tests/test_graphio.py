@@ -141,6 +141,12 @@ def test_graph6_rejects_garbage():
         parse_graph6("A")  # truncated bit data
     with pytest.raises(ValueError):
         parse_graph6("A" + chr(20))  # byte below printable range
+    with pytest.raises(ValueError, match="not supported"):
+        parse_graph6("~~??????")  # the eight-byte size form
+    with pytest.raises(ValueError, match="truncated"):
+        parse_graph6("~??")
+    with pytest.raises(ValueError, match="non-printable byte 20 in graph6 size"):
+        parse_graph6("~?" + chr(20) + "?")
 
 
 def test_graph6_ignores_optional_header():

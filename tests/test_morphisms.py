@@ -6,7 +6,6 @@ from collections import deque
 import pytest
 
 from prismatic.families import (
-    FamilySpec,
     family_graph,
     figure_f9,
     kneser_graph,
@@ -95,7 +94,7 @@ def test_every_returned_map_is_a_plain_tuple_of_ints():
     c5, c6, p4, pet = cycle_graph(5), cycle_graph(6), path_graph(4), petersen_graph()
     null = empty_graph(0)
     group = automorphism_group(c5)
-    family = family_graph(FamilySpec("C5", p4))
+    family = family_graph("C5", p4)
     maps = {
         "find_isomorphisms": find_isomorphisms(c5, c5) + find_isomorphisms(null, null),
         "find_antimorphisms": find_antimorphisms(p4),
@@ -724,13 +723,13 @@ def test_search_budget_counts_nodes_without_a_limit():
     report = reference_compute_core(prism, budget=budget)
     assert report.is_core_itself
     # 18 exhaustive descent searches, each failing
-    assert budget.nodes == 23220 and budget.remaining is None
+    assert budget.nodes == 23220 and budget.limit is None
     # the prism is vertex-transitive: one orbit, so one failing search,
     # which tries one image per orbit of the stabiliser of the dropped
     # vertex (1,290 nodes when it tried every image)
     budget = SearchBudget()
     assert compute_core(prism, budget=budget) == report
-    assert budget.nodes == 186 and budget.remaining is None
+    assert budget.nodes == 186 and budget.limit is None
 
 
 # -- retractions and cores ----------------------------------------------------
@@ -806,6 +805,11 @@ MOSER_SPINDLE_EDGES = [
     (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 6),
     (0, 5), (5, 6), (4, 6), (4, 5), (3, 4),
 ]
+
+
+def test_seed_that_is_not_an_endomorphism_is_rejected():
+    with pytest.raises(ValueError, match="not an endomorphism"):
+        compute_core(cycle_graph(5), seed_endomorphisms=[[0, 0, 1, 2, 3]])
 
 
 def test_moser_spindle_is_a_core():

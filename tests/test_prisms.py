@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prismatic import prisms
-from prismatic.families import FamilySpec, family_graph, figure_f9, paley_graph, petersen_graph
+from prismatic.families import family_graph, figure_f9, paley_graph, petersen_graph
 from prismatic.graphs import (
     Graph,
     build_graph,
@@ -68,7 +68,7 @@ INNER_SAMPLES = [
 @pytest.mark.parametrize("idx", range(len(INNER_SAMPLES)))
 def test_detect_family_round_trip(kind, idx):
     inner = INNER_SAMPLES[idx]
-    g = family_graph(FamilySpec(kind, inner))
+    g = family_graph(kind, inner)
     matches = detect_family(g)
     assert any(m.kind == kind for m in matches)
     for m in matches:
@@ -77,7 +77,7 @@ def test_detect_family_round_trip(kind, idx):
 
 
 def test_detection_survives_relabelling():
-    g = family_graph(FamilySpec("A", path_graph(3)))
+    g = family_graph("A", path_graph(3))
     # reverse the vertex labels
     n = g.n
     perm = list(range(n))[::-1]
@@ -122,7 +122,7 @@ def test_detection_is_exact_on_all_small_graphs():
         members = []
         for kind in ("C5", "A"):
             for inner in all_graphs(n - 4):
-                member = family_graph(FamilySpec(kind, inner))
+                member = family_graph(kind, inner)
                 members.append((kind, member, sorted(member.degrees())))
         for g in all_graphs(n):
             degrees = sorted(g.degrees())
@@ -144,7 +144,7 @@ def relabelled_family_members(draw):
     pairs = list(itertools.combinations(range(k), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     inner = build_graph(k, [p for i, p in enumerate(pairs) if mask >> i & 1])
-    g = family_graph(FamilySpec(kind, inner))
+    g = family_graph(kind, inner)
     perm = draw(st.permutations(range(g.n)))
     return kind, inner, build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -194,7 +194,7 @@ def test_detection_agrees_with_all_quadruples_on_members_and_near_members():
             inner = build_graph(
                 k, [p for p in itertools.combinations(range(k), 2) if rng.random() < 0.5]
             )
-            g = family_graph(FamilySpec(kind, inner)).relabel(rng.sample(range(n), n))
+            g = family_graph(kind, inner).relabel(rng.sample(range(n), n))
             edges = list(g.edges())
             while True:
                 (a, b), (c, d) = rng.sample(edges, 2)
@@ -216,7 +216,7 @@ def test_detection_agrees_with_all_quadruples_on_members_and_near_members():
 @pytest.mark.parametrize("idx", range(len(INNER_SAMPLES)))
 def test_special_automorphism_is_verified_involution(kind, idx):
     inner = INNER_SAMPLES[idx]
-    g = family_graph(FamilySpec(kind, inner))
+    g = family_graph(kind, inner)
     prism = complementary_prism(g)
     s = prisms._special_map(g, detect_family(g)[0])
     assert is_isomorphism_map(prism, prism, s)
@@ -229,7 +229,7 @@ def test_special_automorphism_is_verified_involution(kind, idx):
 
 @pytest.mark.parametrize("kind", ["C5", "A"])
 def test_structured_group_verifies_each_generator_once(kind, monkeypatch):
-    g = family_graph(FamilySpec(kind, path_graph(3)))
+    g = family_graph(kind, path_graph(3))
     s = prisms._special_map(g, detect_family(g)[0])
     checked, prisms_built = [], []
 
@@ -293,7 +293,7 @@ def test_structured_group_labels():
     assert structured_prism_aut(cycle_graph(5)).ratio.structure_label == "S5"
     assert structured_prism_aut(path_graph(4)).ratio.structure_label == "SemidirectZ2"
     assert (
-        structured_prism_aut(family_graph(FamilySpec("A", complete_graph(2)))).ratio.structure_label
+        structured_prism_aut(family_graph("A", complete_graph(2))).ratio.structure_label
         == "SemidirectZ2"
     )
     assert structured_prism_aut(paley_graph(9)).ratio.structure_label == "AutUnionAntimorphisms"
@@ -328,9 +328,9 @@ def test_ratio_values():
     assert ratio_of(cycle_graph(5)).value == 12
     assert ratio_of(path_graph(4)).value == 4  # empty inner graph
     # family with a self-complementary inner graph
-    assert ratio_of(family_graph(FamilySpec("A", path_graph(4)))).value == 4
+    assert ratio_of(family_graph("A", path_graph(4))).value == 4
     # family with a non-self-complementary inner graph
-    assert ratio_of(family_graph(FamilySpec("C5", complete_graph(2)))).value == 2
+    assert ratio_of(family_graph("C5", complete_graph(2))).value == 2
     # self-complementary outside the families
     assert ratio_of(paley_graph(9)).value == 2
     assert ratio_of(figure_f9(2)).value == 2

@@ -10,7 +10,6 @@ import pytest
 
 from prismatic.cli import main
 from prismatic.families import (
-    FamilySpec,
     family_graph,
     figure_f9,
     named_graph,
@@ -161,7 +160,7 @@ def _chromatic_cases():
     rng = random.Random(1301)
     graphs = [named_graph(spec) for spec in NAMED_FAMILIES]
     graphs += [
-        family_graph(FamilySpec(kind, named_graph(inner)))
+        family_graph(kind, named_graph(inner))
         for kind in ("C5", "A")
         for inner in ("empty:1", "complete:3", "cycle:4", "path:3", "star:4", "cycle:5")
     ]
