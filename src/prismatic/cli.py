@@ -23,7 +23,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, tee
 
 from .families import (
     exa1_antimorphism,
@@ -62,6 +62,7 @@ from .spectral import (
 )
 from .structural import (
     cheeger_brute_force,
+    cheeger_brute_force_batch,
     cheeger_closed_form,
     hamiltonian,
     invariants,
@@ -514,18 +515,27 @@ def _all_graphs(n: int):
         yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+def _sweep_cases(n: int):
+    """(base, closed-form Cheeger value, prism) for each labeled graph on n
+    vertices, once the prism's structured automorphism group is checked."""
+    for g in _all_graphs(n):
+        structure = structured_prism_aut(g)
+        structure.check(automorphism_group(structure.prism))
+        yield g, cheeger_closed_form(g, prism=structure.prism).value, structure.prism
+
+
 def cmd_sweep(args) -> dict:
     """Cross-oracle battery over every labeled graph on <= max-n vertices."""
     require_positive("--max-n", args.max_n)
     checked = 0
     t0 = time.perf_counter()
     for n in range(1, args.max_n + 1):
-        for g in _all_graphs(n):
-            structure = structured_prism_aut(g)
-            structure.check(automorphism_group(structure.prism))
-            closed = cheeger_closed_form(g, prism=structure.prism)
-            brute_h = cheeger_brute_force(structure.prism)
-            if closed.value != brute_h.value:
+        # one brute-force table per slice of same-order prisms, not per prism;
+        # the batch reads a slice ahead, and tee keeps only that slice
+        cases, ahead = tee(_sweep_cases(n))
+        brute_reports = cheeger_brute_force_batch(prism for _, _, prism in ahead)
+        for (g, value, _), brute in zip(cases, brute_reports, strict=True):
+            if value != brute.value:
                 raise AssertionError(f"Cheeger mismatch on {g.adj}")
             checked += 1
     return {

@@ -12,16 +12,17 @@ re-verified edge by edge.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .families import colex_subsets, kneser_graph
 from .graphs import Graph, bits, complementary_prism, complete_graph, prism_index
 from .morphisms import SearchBudget, find_homomorphism, max_clique
 
-# numpy is imported inside cheeger_brute_force, its one user, so a command
-# that never reaches it starts without paying for the import.
+# numpy is imported inside cheeger_brute_force_batch, its one user, so a
+# command that never reaches it starts without paying for the import.
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +289,8 @@ def _edge_boundary(g: Graph, s_mask: int) -> int:
 
 
 def _report_for(g: Graph, s_mask: int, method: str) -> CheegerReport:
-    s = tuple(sorted(bits(s_mask)))
-    t = tuple(sorted(set(range(g.n)) - set(s)))
+    s = tuple(bits(s_mask))
+    t = tuple(bits(((1 << g.n) - 1) & ~s_mask))
     value = Fraction(_edge_boundary(g, s_mask), len(s))
     if not 1 <= len(s) <= len(t):
         raise AssertionError("Cheeger witness side S is empty or larger than T")
@@ -339,25 +340,50 @@ def cheeger_closed_form(g: Graph, *, prism: Graph | None = None) -> CheegerRepor
 
 
 CHEEGER_BRUTE_MAX_N = 20
+# entries of one boundary table: 16 graphs of 10 vertices, or one of 14 or more
+CHEEGER_TABLE_MAX_ENTRIES = 1 << 14
 
 
 def cheeger_brute_force(g: Graph) -> CheegerReport:
     """Exact Cheeger number by scanning every partition with |S| <= |T|.
 
+    The scan is ``cheeger_brute_force_batch`` on a batch of one.
+    """
+    return next(cheeger_brute_force_batch([g]))
+
+
+def cheeger_brute_force_batch(graphs: Iterable[Graph]) -> Iterator[CheegerReport]:
+    """``cheeger_brute_force`` of each of a stream of graphs of one order.
+
+    The reports come in input order.  The input is read one slice at a
+    time, so a caller holds at most a slice of graphs and reports at once.
+
     A subset DP tabulates the edge boundary of all 2^n subsets at once: for
     S within vertices 0..k-1,
 
-        boundary[S + {k}] = boundary[S] + deg(k) - 2 |N(k) & S|,
+        boundary[S + {k}] = boundary[S] + deg(k) - 2 |N(k) & S|
+                          = boundary[S] + |N(k) ^ S| - |S|.
 
-    one vector step per vertex, filling entries 2^k..2^(k+1)-1 of the table
-    from entries 0..2^k-1.  The table is int16: every boundary lies in
-    [0, n^2 / 4], at most 100.  The minimum of boundary/|S| over
-    1 <= |S| <= n/2 is taken exactly: the minimum boundary per size,
-    compared by cross-multiplication.  The witness is the least mask
-    attaining it, and ``_report_for`` counts its boundary again edge by
-    edge.
+    The |S| terms summed over the vertices of S make C(|S|, 2), so the
+    table holds table[S] = boundary[S] + C(|S|, 2) and steps by
+
+        table[S + {k}] = table[S] + |N(k) ^ S|,
+
+    one xor, one popcount and one add per vertex, filling entries
+    2^k..2^(k+1)-1 from entries 0..2^k-1.  The table has one row per graph,
+    so each step serves a whole slice of the batch; a slice holds at most
+    CHEEGER_TABLE_MAX_ENTRIES entries.  It is int16: every entry lies in
+    [0, n^2 / 4 + C(n, 2)], at most 290.  The minimum of boundary/|S| over
+    1 <= |S| <= n/2 is taken exactly: the minimum boundary per size (the
+    table's least entry per size less C(size, 2)), compared by
+    cross-multiplication.  The witness is the least mask attaining it, and
+    ``_report_for`` counts its boundary again edge by edge.
     """
-    n = g.n
+    graphs = iter(graphs)
+    first = next(graphs, None)
+    if first is None:
+        raise ValueError("brute-force Cheeger needs at least one graph")
+    n = first.n
     if n > CHEEGER_BRUTE_MAX_N:
         raise ValueError("brute-force Cheeger limited to 20 vertices")
     if n < 2:
@@ -366,29 +392,38 @@ def cheeger_brute_force(g: Graph) -> CheegerReport:
 
     half = n // 2
     subsets = np.arange(1 << n, dtype=np.uint32)
-    boundary = np.empty(1 << n, dtype=np.int16)
-    boundary[0] = 0
-    for k, row in enumerate(g.adj):
-        m = 1 << k
-        shared = np.bitwise_count(subsets[:m] & row)
-        boundary[m : 2 * m] = boundary[:m] + row.bit_count() - 2 * shared
     sizes = np.bitwise_count(subsets)
-    least = np.full(n + 1, n * n, dtype=np.int16)
-    np.minimum.at(least, sizes, boundary)
-    least = least.tolist()
-    best_e, best_s = least[1], 1
-    for size in range(2, half + 1):
-        if least[size] * best_s < best_e * size:
-            best_e, best_s = least[size], size
-    witness = min(
-        int(np.argmax((sizes == size) & (boundary == least[size])))
-        for size in range(1, half + 1)
-        if least[size] * best_s == best_e * size
-    )
-    report = _report_for(g, witness, "brute_force")
-    if report.value != Fraction(best_e, best_s):
-        raise AssertionError("brute-force Cheeger witness disagrees with the table")
-    return report
+    no_minimum = np.full(n + 1, n * n, dtype=np.int16)  # above every entry
+    per_slice = max(1, CHEEGER_TABLE_MAX_ENTRIES >> n)
+    chunk = [first, *islice(graphs, per_slice - 1)]
+    while chunk:
+        if any(g.n != n for g in chunk):
+            raise ValueError("brute-force Cheeger batch mixes graph orders")
+        table = np.zeros((len(chunk), 1 << n), dtype=np.int16)
+        # columns[k] holds N(k) of each graph of the slice, one per row
+        columns = np.array([g.adj for g in chunk], dtype=np.uint32).T[:, :, None]
+        for k, column in enumerate(columns):
+            m = 1 << k
+            np.add(table[:, :m], np.bitwise_count(subsets[:m] ^ column), out=table[:, m : 2 * m])
+        for g, row in zip(chunk, table):
+            least_entry = no_minimum.copy()
+            np.minimum.at(least_entry, sizes, row)
+            least_entry = least_entry.tolist()
+            least = [e - size * (size - 1) // 2 for size, e in enumerate(least_entry)]
+            best_e, best_s = least[1], 1
+            for size in range(2, half + 1):
+                if least[size] * best_s < best_e * size:
+                    best_e, best_s = least[size], size
+            witness = min(
+                int(np.argmax((sizes == size) & (row == least_entry[size])))
+                for size in range(1, half + 1)
+                if least[size] * best_s == best_e * size
+            )
+            report = _report_for(g, witness, "brute_force")
+            if report.value.numerator * best_s != best_e * report.value.denominator:
+                raise AssertionError("brute-force Cheeger witness disagrees with the table")
+            yield report
+        chunk = list(islice(graphs, per_slice))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import itertools
@@ -407,6 +408,28 @@ def test_sweep_small(capsys):
     report = run_json(capsys, ["sweep", "--max-n", "3"])
     assert report["failures"] == 0
     assert report["graphs_checked"] == 11  # 1 + 2 + 8
+
+
+def test_sweep_counts_every_graph_up_to_four_vertices(capsys):
+    report = run_json(capsys, ["sweep", "--max-n", "4"])
+    assert report["failures"] == 0
+    assert report["graphs_checked"] == 75  # 1 + 2 + 8 + 64
+
+
+def test_sweep_compares_every_graph_of_a_batch(monkeypatch):
+    # the 40th graph on 5 vertices lies in the third slice of ten-vertex prisms
+    target = list(cli._all_graphs(5))[39]
+    closed_form = cli.cheeger_closed_form
+
+    def wrong_on_target(g, *, prism):
+        rep = closed_form(g, prism=prism)
+        if g == target:
+            return dataclasses.replace(rep, value=rep.value + 1)
+        return rep
+
+    monkeypatch.setattr(cli, "cheeger_closed_form", wrong_on_target)
+    with pytest.raises(AssertionError, match=re.escape(f"Cheeger mismatch on {target.adj}")):
+        main(["sweep", "--max-n", "5"])
 
 
 def test_bad_name_exits_2(capsys):

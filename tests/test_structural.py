@@ -43,6 +43,7 @@ from prismatic.structural import (
     _edge_boundary,
     _report_for,
     cheeger_brute_force,
+    cheeger_brute_force_batch,
     cheeger_closed_form,
     chromatic_number,
     hamiltonian,
@@ -578,6 +579,40 @@ def test_cheeger_brute_force_matches_closed_form_on_twenty_vertex_prisms(g):
 def test_cheeger_kernel_matches_reference_at_sixteen_and_eighteen_vertices(n):
     g = random_graph(n, random.Random(n))
     assert cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
+
+
+def test_cheeger_batch_matches_single_and_reference_on_random_graphs():
+    rng = random.Random(34)
+    for n in range(2, 19):
+        batch = [random_graph(n, rng, density=rng.random()) for _ in range(2 if n > 12 else 5)]
+        reports = list(cheeger_brute_force_batch(batch))
+        assert len(reports) == len(batch)
+        for g, rep in zip(batch, reports):
+            assert rep == cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
+
+
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 40])
+def test_cheeger_batch_across_slice_boundaries(length):
+    # ten vertices: 2^10 entries per table row, so a slice holds 16 graphs
+    assert structural.CHEEGER_TABLE_MAX_ENTRIES >> 10 == 16
+    rng = random.Random(length)
+    batch = [random_graph(10, rng, density=rng.random()) for _ in range(length)]
+    reports = list(cheeger_brute_force_batch(iter(batch)))
+    assert len(reports) == length
+    for g, rep in zip(batch, reports):
+        assert rep == cheeger_brute_force(g) == reference_cheeger_brute_force(g), g.adj
+
+
+def test_cheeger_batch_input_validation():
+    with pytest.raises(ValueError, match="at least one graph"):
+        list(cheeger_brute_force_batch([]))
+    with pytest.raises(ValueError, match="mixes graph orders"):
+        list(cheeger_brute_force_batch([cycle_graph(5), cycle_graph(6)]))
+    # an order change in a later slice is caught when that slice is read
+    with pytest.raises(ValueError, match="mixes graph orders"):
+        list(cheeger_brute_force_batch([cycle_graph(10)] * 20 + [cycle_graph(11)]))
+    with pytest.raises(ValueError, match="at least two vertices"):
+        list(cheeger_brute_force_batch([complete_graph(1)]))
 
 
 def test_cheeger_value_invariant_under_relabelling():
